@@ -85,26 +85,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _number(convert, text: str, what: str):
+    """convert(text) for user text, a malformed number being a configuration error."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} {text!r}") from exc
+
+
+def _build(model, *args, **kwargs):
+    """model(*args, **kwargs), its own range checks reported as configuration errors."""
+    try:
+        return model(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_detector(text: str):
     text = text.strip()
     if text == "vacuum":
         return IdealVacuum()
-    if text.startswith("onoff:"):
-        try:
-            eta = float(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad on/off efficiency in {text!r}") from exc
-        if not 0.0 <= eta <= 1.0:
-            raise ConfigError(f"efficiency must lie in [0, 1], got {eta}")
-        return OnOff(eta)
-    if text.startswith("homodyne:"):
-        try:
-            x = float(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad filter radius in {text!r}") from exc
-        if not x > 0:
-            raise ConfigError(f"filter radius must be positive, got {x}")
-        return HomodyneFilter(x)
+    kind, _, arg = text.partition(":")
+    if kind == "onoff":
+        return _build(OnOff, _number(float, arg, "on/off efficiency"))
+    if kind == "homodyne":
+        return _build(HomodyneFilter, _number(float, arg, "filter radius"))
     raise ConfigError(
         f"unknown detector {text!r}; expected vacuum, onoff:<eta> or homodyne:<x>"
     )
@@ -136,21 +141,14 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _range_checked(values: dict) -> dict:
+def _typed(values: dict) -> dict:
+    """Config-file strings converted to the flags' types; ranges are checked
+    where the values are used (ProtocolConfig, the detector models, jobs)."""
     out = {}
-    if "epsilon" in values:
-        out["epsilon"] = float(values["epsilon"])
-        if out["epsilon"] < 0:
-            raise ConfigError("epsilon must be >= 0")
-    if "steps" in values:
-        out["steps"] = int(values["steps"])
-        if out["steps"] < 0:
-            raise ConfigError("steps must be >= 0")
-    for key in ("truncation", "max_truncation"):
+    for key, convert in (("epsilon", float), ("steps", int), ("truncation", int),
+                         ("max_truncation", int), ("jobs", int)):
         if key in values:
-            out[key] = int(values[key])
-            if out[key] < 2:
-                raise ConfigError(f"{key} must be >= 2")
+            out[key] = _number(convert, values[key], key)
     if "detector" in values:
         out["detector"] = parse_detector(values["detector"])
     if "single_mode" in values:
@@ -158,10 +156,6 @@ def _range_checked(values: dict) -> dict:
         if raw not in ("true", "false", "1", "0"):
             raise ConfigError(f"single_mode must be true/false, got {raw!r}")
         out["single_mode"] = raw in ("true", "1")
-    if "jobs" in values:
-        out["jobs"] = int(values["jobs"])
-        if out["jobs"] < 1:
-            raise ConfigError("jobs must be >= 1")
     for key in ("sweep_eta", "wigner", "wigner_steps", "out"):
         if key in values:
             out[key] = values[key]
@@ -175,18 +169,17 @@ def parse_sweep_spec(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"expected start:stop:count, got {text!r}")
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        start, stop = (_number(float, v, "efficiency") for v in parts[:2])
+        count = _number(int, parts[2], "sweep count")
         if count < 1:
             raise ConfigError("sweep count must be >= 1")
         etas = list(np.linspace(start, stop, count))
     else:
-        etas = [float(v) for v in text.split(",") if v.strip()]
+        etas = [_number(float, v, "efficiency") for v in text.split(",") if v.strip()]
     if not etas:
         raise ConfigError("empty efficiency sweep")
     for eta in etas:
-        if not 0.0 <= eta <= 1.0:
-            raise ConfigError(f"efficiency {eta} outside [0, 1]")
+        _build(OnOff, eta)
     return etas
 
 
@@ -194,8 +187,8 @@ def parse_wigner_spec(text: str):
     parts = text.strip().split(":")
     if len(parts) != 5:
         raise ConfigError(f"expected xmin:xmax:pmin:pmax:n, got {text!r}")
-    xmin, xmax, pmin, pmax = (float(v) for v in parts[:4])
-    n = int(parts[4])
+    xmin, xmax, pmin, pmax = (_number(float, v, "grid bound") for v in parts[:4])
+    n = _number(int, parts[4], "grid resolution")
     if xmin >= xmax or pmin >= pmax:
         raise ConfigError("grid ranges must be increasing")
     if n < 2:
@@ -465,7 +458,7 @@ def _build_parser() -> _Parser:
 def _merge_config(args) -> dict:
     values = {}
     if args.config:
-        values.update(_range_checked(parse_config_file(args.config)))
+        values.update(_typed(parse_config_file(args.config)))
     overrides = {
         "epsilon": args.epsilon,
         "steps": args.steps,
@@ -486,21 +479,21 @@ def _merge_config(args) -> dict:
         values["wigner"] = args.wigner
     if getattr(args, "wigner_steps", None) is not None:
         values["wigner_steps"] = args.wigner_steps
+    if values.get("jobs", 1) < 1:
+        raise ConfigError("jobs must be >= 1")
     return values
 
 
 def _protocol_config(values: dict) -> ProtocolConfig:
-    try:
-        return ProtocolConfig(
-            steps=values.get("steps", 0),
-            epsilon=values.get("epsilon", 0.95),
-            mode_count=1 if values.get("single_mode") else 2,
-            truncation=values.get("truncation"),
-            max_truncation=values.get("max_truncation"),
-            detector=values.get("detector", IdealVacuum()),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(
+        ProtocolConfig,
+        steps=values.get("steps", 0),
+        epsilon=values.get("epsilon", 0.95),
+        mode_count=1 if values.get("single_mode") else 2,
+        truncation=values.get("truncation"),
+        max_truncation=values.get("max_truncation"),
+        detector=values.get("detector", IdealVacuum()),
+    )
 
 
 def main(argv=None) -> int:
@@ -525,7 +518,9 @@ def main(argv=None) -> int:
                 raise ConfigError("wigner requires --wigner xmin:xmax:pmin:pmax:n")
             grid_spec = parse_wigner_spec(spec)
             raw_steps = values.get("wigner_steps", "0,1,2")
-            step_list = sorted({int(v) for v in str(raw_steps).split(",") if v.strip()})
+            step_list = sorted(
+                {_number(int, v, "wigner step") for v in str(raw_steps).split(",") if v.strip()}
+            )
             if not step_list or min(step_list) < 0:
                 raise ConfigError(f"bad step list {raw_steps!r}")
             if not values.get("single_mode"):

@@ -6,8 +6,10 @@ detector's success effect, and retain the first outputs. Iterating drives
 any input toward a Gaussian state while (for good detectors) raising its
 entanglement.
 
-Mode layout inside a two-party step: (A copy-1, A copy-2, B copy-1, B copy-2);
-the copy-2 slots are measured, the copy-1 slots are retained.
+One kernel serves both variants: a step acts on a state of shape (A, B), and
+each party mixes its two copies on its own splitter and conditions the
+measured output on its own effect. The single-mode variant is the two-party
+step whose party B has cutoff 1, splitter [[1]] and effect [1] (no detector).
 """
 
 from __future__ import annotations
@@ -148,64 +150,85 @@ def prepare_photon_subtracted(r: float, t: float, d: int) -> MeasurementOutcome:
     return MeasurementOutcome(second.conditional_state, joint)
 
 
-def _success_diag(detector: DetectorModel, d: int) -> np.ndarray:
-    effect = success_effect(detector, d)
-    return np.real(np.diag(effect)).copy()
+def _party(detector: DetectorModel, d: int):
+    """One party's beam splitter u[a, m, i, p] (kept a, measured m <- copy-1 i,
+    copy-2 p) and the diagonal e of its detector's success effect."""
+    e = np.real(np.diag(success_effect(detector, d)))
+    return beamsplitter_unitary(d).reshape(d, d, d, d), e
 
 
-def _pure_two_party_step(state: PureState, e: np.ndarray) -> MeasurementOutcome:
-    d = state.dims.dims[0]
-    u = beamsplitter_unitary(d).reshape(d, d, d, d)
-    psi = state.tensor_view()
-    # phi[a, m, b, n]: (A retained, A measured, B retained, B measured)
-    x = np.einsum("amip,ij->ampj", u, psi, optimize=True)
+# Party B of the single-mode variant: cutoff 1, beam splitter [[1]] and effect
+# [1], i.e. no detector. A single-mode state of cutoff d runs as shape (d, 1).
+_NO_PARTY = (np.ones((1, 1, 1, 1)), np.ones(1))
+
+
+def _pure_contraction(psi: np.ndarray, party_a, party_b):
+    """Both copies of psi[A, B] through both parties' splitters and effects.
+
+    Returns kraus[kept (a, b), outcome (m, n)], the unnormalized kept ket of
+    each measured outcome pair weighted by sqrt(e_A[m] e_B[n]), and the trace
+    of the state after mixing. When both effects have rank one only that
+    outcome pair is kept, so the output stays pure.
+    """
+    (ua, ea), (ub, eb) = party_a, party_b
+    # phi[a, m, b, n]: (A kept, A measured, B kept, B measured)
+    x = np.einsum("amip,ij->ampj", ua, psi, optimize=True)
     y = np.einsum("ampj,pq->amjq", x, psi, optimize=True)
-    phi = np.einsum("amjq,bnjq->ambn", y, u, optimize=True)
-    leak = max(0.0, 1.0 - float(np.sum(np.abs(phi) ** 2)))
-    nonzero = np.flatnonzero(e > 1e-14)
-    out_dims = FockDims((d, d))
-    if nonzero.size == 1:
-        z = int(nonzero[0])
-        ket = phi[:, z, :, z] * math.sqrt(e[z])
-        p = e[z] * float(np.sum(np.abs(phi[:, z, :, z]) ** 2))
-        if p < P_FLOOR:
-            raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")
-        out = PureState(out_dims, ket.reshape(-1)).normalized()
-        return MeasurementOutcome(out, p, leak)
-    weighted = phi * np.sqrt(e)[None, :, None, None] * np.sqrt(e)[None, None, None, :]
-    m = weighted.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    p = float(np.sum(np.abs(m) ** 2))
-    if p < P_FLOOR:
-        raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")
-    rho = (m @ m.conj().T) / p
-    return MeasurementOutcome(DensityOperator(out_dims, rho), p, leak)
+    phi = np.einsum("amjq,bnjq->ambn", y, ub, optimize=True)
+    trace_after = float(np.sum(np.abs(phi) ** 2))
+    weighted = phi * np.sqrt(ea)[:, None, None] * np.sqrt(eb)
+    support = [np.flatnonzero(e > 1e-14) for e in (ea, eb)]
+    if all(z.size == 1 for z in support):
+        weighted = weighted[:, support[0]][..., support[1]]
+    return weighted.transpose(0, 2, 1, 3).reshape(psi.size, -1), trace_after
 
 
-def _density_two_party_step(state: DensityOperator, e: np.ndarray) -> MeasurementOutcome:
-    d = state.dims.dims[0]
-    U = beamsplitter_unitary(d)
-    u = U.reshape(d, d, d, d)
-    r = state.tensor_view()  # [ket A, ket B, bra A, bra B]
-    # Fused contraction of the duplicated state through both beam splitters and
-    # the diagonal success effects; never materializes the four-mode matrix.
-    ka = np.einsum("m,amip,cmIP->aciIpP", e, u, u.conj(), optimize=True)
-    t = np.einsum("aciIpP,ijIJ->acpPjJ", ka, r, optimize=True)
-    s = np.einsum("acpPjJ,pqPQ->acjJqQ", t, r, optimize=True)
-    kb = np.einsum("n,bnjq,dnJQ->bdjJqQ", e, u, u.conj(), optimize=True)
+def _gram(u: np.ndarray) -> np.ndarray:
+    """U^dagger U of a splitter in the u[a, m, i, p] layout, as g[i, p, I, P]."""
+    m = u.reshape(u.shape[0] * u.shape[1], -1)
+    return (m.conj().T @ m).reshape(u.shape)
+
+
+def _density_contraction(r: np.ndarray, party_a, party_b):
+    """Both copies of r[i, j, I, J] (ket A, ket B, bra A, bra B) through both
+    parties' splitters and effects; never materializes the four-mode matrix.
+
+    Returns the unnormalized kept density matrix and the trace after mixing.
+    """
+    (ua, ea), (ub, eb) = party_a, party_b
+    s = np.einsum("m,amip,cmIP,ijIJ,pqPQ->acjJqQ", ea, ua, ua.conj(), r, r, optimize=True)
+    kb = np.einsum("n,bnjq,dnJQ->bdjJqQ", eb, ub, ub.conj(), optimize=True)
     out = np.einsum("acjJqQ,bdjJqQ->abcd", s, kb, optimize=True)
-    # truncation loss of the mixing stage: trace of the post-splitter state
-    uu = (U.conj().T @ U).reshape(d, d, d, d)
-    x = np.einsum("ipIP,ijIJ->pPjJ", uu, r, optimize=True)
+    # trace after mixing, tr[(G_A (x) G_B)(rho (x) rho)] with G = U^dagger U; the
+    # pairing below reads G transposed, which is G itself for the real splitter
+    x = np.einsum("ipIP,ijIJ->pPjJ", _gram(ua), r, optimize=True)
     y = np.einsum("pPjJ,pqPQ->jJqQ", x, r, optimize=True)
-    trace_after = float(np.real(np.einsum("jJqQ,jqJQ->", y, uu, optimize=True)))
-    leak = max(0.0, 1.0 - trace_after)
-    p = float(np.real(np.einsum("abab->", out)))
+    trace_after = float(np.real(np.einsum("jJqQ,jqJQ->", y, _gram(ub), optimize=True)))
+    size = r.shape[0] * r.shape[1]
+    return out.reshape(size, size), trace_after
+
+
+def _step(state, party_a, party_b) -> MeasurementOutcome:
+    """One step on a state of shape (A, B) given each party's splitter and effect."""
+    shape = (party_a[1].size, party_b[1].size)
+    if isinstance(state, PureState):
+        kraus, trace_after = _pure_contraction(state.amplitudes.reshape(shape), party_a, party_b)
+        p = float(np.sum(np.abs(kraus) ** 2))
+    elif isinstance(state, DensityOperator):
+        r = state.matrix.reshape(shape + shape)
+        out, trace_after = _density_contraction(r, party_a, party_b)
+        p = float(np.real(np.trace(out)))
+    else:
+        raise TypeError(f"unsupported state type {type(state)!r}")
     if p < P_FLOOR:
         raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")
-    D = d * d
-    rho = out.reshape(D, D) / p
-    rho = (rho + rho.conj().T) / 2
-    return MeasurementOutcome(DensityOperator(FockDims((d, d)), rho), p, leak)
+    leak = max(0.0, 1.0 - trace_after)
+    if isinstance(state, PureState):
+        if kraus.shape[1] == 1:
+            return MeasurementOutcome(PureState(state.dims, kraus[:, 0]).normalized(), p, leak)
+        out = kraus @ kraus.conj().T
+    rho = out / p
+    return MeasurementOutcome(DensityOperator(state.dims, (rho + rho.conj().T) / 2), p, leak)
 
 
 def one_step(state, detector: DetectorModel) -> MeasurementOutcome:
@@ -218,54 +241,8 @@ def one_step(state, detector: DetectorModel) -> MeasurementOutcome:
     dims = state.dims.dims
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError(f"expected a two-mode state with equal truncations, got {dims}")
-    e = _success_diag(detector, dims[0])
-    if isinstance(state, PureState):
-        return _pure_two_party_step(state, e)
-    if isinstance(state, DensityOperator):
-        return _density_two_party_step(state, e)
-    raise TypeError(f"unsupported state type {type(state)!r}")
-
-
-def _pure_single_step(state: PureState, e: np.ndarray) -> MeasurementOutcome:
-    d = state.dims.dims[0]
-    u = beamsplitter_unitary(d).reshape(d, d, d, d)
-    psi = state.amplitudes
-    phi = np.einsum("amip,i,p->am", u, psi, psi, optimize=True)
-    leak = max(0.0, 1.0 - float(np.sum(np.abs(phi) ** 2)))
-    nonzero = np.flatnonzero(e > 1e-14)
-    out_dims = FockDims((d,))
-    if nonzero.size == 1:
-        z = int(nonzero[0])
-        p = e[z] * float(np.sum(np.abs(phi[:, z]) ** 2))
-        if p < P_FLOOR:
-            raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")
-        out = PureState(out_dims, phi[:, z] * math.sqrt(e[z])).normalized()
-        return MeasurementOutcome(out, p, leak)
-    m = phi * np.sqrt(e)[None, :]
-    p = float(np.sum(np.abs(m) ** 2))
-    if p < P_FLOOR:
-        raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")
-    rho = (m @ m.conj().T) / p
-    return MeasurementOutcome(DensityOperator(out_dims, rho), p, leak)
-
-
-def _density_single_step(state: DensityOperator, e: np.ndarray) -> MeasurementOutcome:
-    d = state.dims.dims[0]
-    U = beamsplitter_unitary(d)
-    u = U.reshape(d, d, d, d)
-    r = state.matrix
-    x = np.einsum("amip,iI->amIp", u, r, optimize=True)
-    y = np.einsum("amIp,pP->amIP", x, r, optimize=True)
-    out = np.einsum("amIP,m,cmIP->ac", y, e, u.conj(), optimize=True)
-    uu = (U.conj().T @ U).reshape(d, d, d, d)
-    trace_after = float(np.real(np.einsum("ipIP,Ii,Pp->", uu, r, r, optimize=True)))
-    leak = max(0.0, 1.0 - trace_after)
-    p = float(np.real(np.trace(out)))
-    if p < P_FLOOR:
-        raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")
-    rho = out / p
-    rho = (rho + rho.conj().T) / 2
-    return MeasurementOutcome(DensityOperator(FockDims((d,)), rho), p, leak)
+    party = _party(detector, dims[0])
+    return _step(state, party, party)
 
 
 def one_step_single_mode(state, detector: DetectorModel) -> MeasurementOutcome:
@@ -283,12 +260,7 @@ def one_step_single_mode(state, detector: DetectorModel) -> MeasurementOutcome:
     dims = state.dims.dims
     if len(dims) != 1:
         raise ValueError(f"expected a single-mode state, got {dims}")
-    e = _success_diag(detector, dims[0])
-    if isinstance(state, PureState):
-        return _pure_single_step(state, e)
-    if isinstance(state, DensityOperator):
-        return _density_single_step(state, e)
-    raise TypeError(f"unsupported state type {type(state)!r}")
+    return _step(state, _party(detector, dims[0]), _NO_PARTY)
 
 
 def homodyne_step(state, x: float) -> MeasurementOutcome:

@@ -190,16 +190,28 @@ def test_main_run_ok(tmp_path, capsys):
     assert "step,p_success" in open(out).read()
 
 
-def test_main_config_errors_exit_one(capsys):
+def test_main_config_errors_exit_one(tmp_path, capsys):
     assert main(["run", "--detector", "onoff:2.0"]) == 1
     assert main(["sweep-eta"]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["gaussian-check", "--truncation", "4"]) == 1
+    # malformed numbers in user text are configuration errors, not numerical ones
+    assert main(["sweep-eta", "--sweep-eta", "0.1:x:3"]) == 1
+    assert main(["wigner", "--wigner=-4:4:-4:4:n"]) == 1
+    assert main(["wigner", "--wigner=-4:4:-4:4:21", "--wigner-steps", "0,a"]) == 1
+    assert main(["run", "--jobs", "0"]) == 1
+    for line in ("steps = abc", "jobs = 0"):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        assert main(["run", "--config", str(path)]) == 1
 
 
 def test_main_numerical_failure_exits_two(capsys):
     # a vanishing acceptance disk makes the very first outcome too rare
     assert main(["run", "--steps", "1", "--detector", "homodyne:0.0005",
+                 "--truncation", "5"]) == 2
+    # rank-one effect at both parties: p = e0^2 |phi|^2 = 4.7e-15, not e0 |phi|^2
+    assert main(["run", "--steps", "1", "--detector", "homodyne:0.0003",
                  "--truncation", "5"]) == 2
 
 

@@ -168,6 +168,28 @@ def _brute_force_step(rho_matrix, d, e_diag):
     return red / p, p
 
 
+def _brute_force_single_step(rho_matrix, d, e_diag):
+    """Dense single-mode composition: rho (x) rho, U . U^dagger, sqrt(e) on the
+    measured mode 2, then the partial trace over mode 2."""
+    rho2 = np.kron(rho_matrix, rho_matrix)  # (copy 1, copy 2)
+    U = beamsplitter_unitary(d)
+    rho2 = U @ rho2 @ U.conj().T  # (kept output, measured output)
+    sq = np.zeros(d * d)
+    for a in range(d):
+        for m in range(d):
+            sq[a * d + m] = math.sqrt(e_diag[m])
+    cond = sq[:, None] * rho2 * sq[None, :]
+    p = 0.0
+    for i in range(d * d):
+        p += cond[i, i].real
+    red = np.zeros((d, d), dtype=complex)
+    for a in range(d):
+        for ap in range(d):
+            for m in range(d):
+                red[a, ap] += cond[a * d + m, ap * d + m]
+    return red / p, p
+
+
 @pytest.mark.parametrize(
     "detector,e_fn",
     [
@@ -195,6 +217,28 @@ def test_one_step_matches_brute_force_oracle(detector, e_fn):
     out = one_step(rho, detector)
     assert abs(out.probability - p) < 1e-12
     assert np.max(np.abs(as_matrix(out.conditional_state) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("detector", [IdealVacuum(), OnOff(0.55), HomodyneFilter(0.4)])
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_one_step_single_mode_matches_brute_force_oracle(detector, d):
+    from gaussify.measurements import success_effect
+
+    e = np.real(np.diag(success_effect(detector, d)))
+    rng = np.random.default_rng(d)
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = m @ m.conj().T
+    inputs = [
+        prepare_single_mode_state(0.95, d),
+        PureState((d,), v).normalized(),
+        DensityOperator((d,), m / np.trace(m).real),
+    ]
+    for state in inputs:
+        expected, p = _brute_force_single_step(as_matrix(state), d, e)
+        out = one_step_single_mode(state, detector)
+        assert abs(out.probability - p) < 1e-12
+        assert np.max(np.abs(as_matrix(out.conditional_state) - expected)) < 1e-12
 
 
 def test_single_ideal_step_increases_entanglement():
