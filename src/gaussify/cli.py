@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .gaussian import (
     symplectic_form,
     two_mode_squeezed,
 )
-from .measures import LOG_BASE, WignerGrid, wigner
+from .measures import LOG_BASE, WignerGrid, wigner, wigner_axes
 from .measurements import (
     HomodyneFilter,
     IdealVacuum,
@@ -189,10 +190,7 @@ def parse_wigner_spec(text: str):
         raise ConfigError(f"expected xmin:xmax:pmin:pmax:n, got {text!r}")
     xmin, xmax, pmin, pmax = (_number(float, v, "grid bound") for v in parts[:4])
     n = _number(int, parts[4], "grid resolution")
-    if xmin >= xmax or pmin >= pmax:
-        raise ConfigError("grid ranges must be increasing")
-    if n < 2:
-        raise ConfigError("grid resolution must be >= 2")
+    _build(wigner_axes, (xmin, xmax), (pmin, pmax), n)
     return (xmin, xmax), (pmin, pmax), n
 
 
@@ -258,22 +256,13 @@ def cmd_sweep_eta(
     Sweep points run at fixed truncation (no adaptive growth) so every
     efficiency sees the same basis.
     """
+    if long_steps < 1:
+        raise ConfigError("sweep-eta needs steps >= 1")
 
     def _point(eta: float):
-        cfg = ProtocolConfig(
-            steps=long_steps,
-            epsilon=config.epsilon,
-            mode_count=2,
-            truncation=config.truncation,
-            max_truncation=config.truncation,
-            detector=OnOff(eta),
-            leak_threshold=config.leak_threshold,
-        )
-        trace = run(cfg)
-        return trace.records[0].log_negativity, {
-            1: trace.records[1].log_negativity,
-            long_steps: trace.records[long_steps].log_negativity,
-        }
+        cfg = replace(config, steps=long_steps, mode_count=2,
+                      max_truncation=config.truncation, detector=OnOff(eta))
+        return run(cfg).records
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -281,7 +270,7 @@ def cmd_sweep_eta(
     else:
         results = [_point(eta) for eta in etas]
 
-    reference = results[0][0]
+    reference = results[0][0].log_negativity
     pairs = _config_pairs(config) + [
         ("sweep_eta", ",".join(_fmt(float(e)) for e in etas)),
         ("long_steps", long_steps),
@@ -289,13 +278,10 @@ def cmd_sweep_eta(
     ]
     lines = _header_lines(pairs)
     lines.append("eta,steps,log_negativity,initial_log_negativity")
-    for eta, (_, by_steps) in zip(etas, results):
+    for eta, records in zip(etas, results):
         for steps in (1, long_steps):
-            lines.append(
-                ",".join(
-                    [_fmt(float(eta)), str(steps), _fmt(by_steps[steps]), _fmt(reference)]
-                )
-            )
+            log_neg = records[steps].log_negativity
+            lines.append(",".join([_fmt(float(eta)), str(steps), _fmt(log_neg), _fmt(reference)]))
     text = "\n".join(lines) + "\n"
     _emit(text, out_path)
     return text
@@ -349,20 +335,11 @@ def cmd_wigner(config: ProtocolConfig, step_list, grid_spec, out_prefix) -> list
     if config.mode_count != 1:
         raise ConfigError("wigner export requires a single-mode configuration")
     x_range, p_range, n = grid_spec
-    steps_needed = max(step_list)
-    cfg = ProtocolConfig(
-        steps=steps_needed,
-        epsilon=config.epsilon,
-        mode_count=1,
-        truncation=config.truncation,
-        max_truncation=config.max_truncation,
-        detector=config.detector,
-        leak_threshold=config.leak_threshold,
-    )
-    trace = run(cfg, keep_states=True)
+    cfg = replace(config, steps=max(step_list))
+    records = run(cfg).records
     paths = []
     for k in step_list:
-        grid = wigner(trace.states[k], x_range, p_range, n)
+        grid = wigner(records[k].state, x_range, p_range, n)
         pairs = _config_pairs(cfg) + [("wigner_step", k)]
         path = f"{out_prefix}_step{k}.csv" if out_prefix else None
         write_wigner_grid(grid, pairs, path)
@@ -377,8 +354,10 @@ def cmd_gaussian_check(r: float, d: int, tol: float = 1e-4, out_path=None) -> st
     two-mode squeezed input, and the symplectic identity residual of the
     heterodyne beam-splitter map. Raises ToleranceBreach above ``tol``.
     """
-    if r < 0:
+    if not r >= 0:
         raise ConfigError("squeezing r must be >= 0")
+    if not tol >= 0:
+        raise ConfigError("tolerance must be >= 0")
     if d < 8:
         raise ConfigError("truncation must be >= 8 for the cross check")
     psi = two_mode_squeezed_ket(r, d)
@@ -407,7 +386,8 @@ def cmd_gaussian_check(r: float, d: int, tol: float = 1e-4, out_path=None) -> st
     lines.append(f"symplectic_identity_residual,{_fmt(symp_residual)}")
     text = "\n".join(lines) + "\n"
     _emit(text, out_path)
-    if gamma_dev > tol or d_dev > tol or symp_residual > 1e-12:
+    # a NaN deviation fails every comparison, so it counts as a breach
+    if not (gamma_dev <= tol and d_dev <= tol and symp_residual <= 1e-12):
         raise ToleranceBreach(
             f"deviation above tolerance: gamma {gamma_dev:.3e}, displacement "
             f"{d_dev:.3e}, symplectic {symp_residual:.3e}"
@@ -510,7 +490,7 @@ def main(argv=None) -> int:
             if spec is None:
                 raise ConfigError("sweep-eta requires --sweep-eta")
             etas = parse_sweep_spec(spec)
-            long_steps = values.get("steps") or 10
+            long_steps = values.get("steps", 10)
             cmd_sweep_eta(config, etas, long_steps, values.get("jobs", 1), out)
         elif args.command == "wigner":
             spec = values.get("wigner")

@@ -104,6 +104,21 @@ def _displacement_elements(beta: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def wigner_axes(x_range, p_range, resolution):
+    """The x and p axes of a Wigner grid: increasing ranges, at least 2 points
+    per axis, and a spacing no wider than the vacuum width 1."""
+    n = int(resolution)
+    if not (x_range[0] < x_range[1] and p_range[0] < p_range[1]):
+        raise ValueError("grid ranges must be increasing")
+    if n < 2:
+        raise ValueError("grid too coarse: need at least 2 points per axis")
+    xs = np.linspace(float(x_range[0]), float(x_range[1]), n)
+    ps = np.linspace(float(p_range[0]), float(p_range[1]), n)
+    if not (xs[1] - xs[0] <= 1.0 and ps[1] - ps[0] <= 1.0):
+        raise ValueError("grid too coarse: spacing exceeds the vacuum width")
+    return xs, ps
+
+
 def wigner(state, x_range, p_range, resolution) -> WignerGrid:
     """Wigner function of a single-mode state via the displaced-parity form.
 
@@ -114,13 +129,7 @@ def wigner(state, x_range, p_range, resolution) -> WignerGrid:
     rho = _as_density(state)
     if rho.n_modes != 1:
         raise ValueError("Wigner grids are computed for single-mode states")
-    n = int(resolution)
-    if n < 2:
-        raise ValueError("grid too coarse: need at least 2 points per axis")
-    xs = np.linspace(float(x_range[0]), float(x_range[1]), n)
-    ps = np.linspace(float(p_range[0]), float(p_range[1]), n)
-    if max(xs[1] - xs[0], ps[1] - ps[0]) > 1.0:
-        raise ValueError("grid too coarse: spacing exceeds the vacuum width")
+    xs, ps = wigner_axes(x_range, p_range, resolution)
     d = rho.dims.dims[0]
     X, P = np.meshgrid(xs, ps, indexing="ij")
     beta = np.sqrt(2.0) * (X + 1j * P)  # 2*alpha

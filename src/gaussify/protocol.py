@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -67,8 +68,8 @@ class ProtocolConfig:
             raise ValueError("steps must be >= 0")
         if self.mode_count not in (1, 2):
             raise ValueError("mode_count must be 1 or 2 per copy")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
         if self.truncation is None:
             self.truncation = DEFAULT_TRUNCATION[self.mode_count]
         if self.truncation < 2:
@@ -81,29 +82,52 @@ class ProtocolConfig:
 
 @dataclass
 class IterationRecord:
-    """Per-step diagnostics; step 0 describes the initial state."""
+    """Per-step diagnostics; step 0 describes the initial state.
+
+    The record keeps the state after its step; the metrics are computed from
+    it when first read and cached.
+    """
 
     step: int
     p_success: float
     p_cumulative: float
-    log_negativity: float
-    purity: float
-    gaussianity: float
     leak: float
+    state: Union[PureState, DensityOperator] = field(repr=False, compare=False)
+
+    @cached_property
+    def log_negativity(self) -> float:
+        """E_N in ebits; NaN for a single-mode state."""
+        if self.state.dims.n_modes != 2:
+            return math.nan
+        return measures.logarithmic_negativity(self.state)
+
+    @cached_property
+    def purity(self) -> float:
+        return measures.purity(self.state)
+
+    @cached_property
+    def gaussianity(self) -> float:
+        """Gaussianity distance; NaN when the distance raises ValueError."""
+        try:
+            return measures.gaussianity_distance(self.state)
+        except ValueError:
+            return math.nan
 
 
 @dataclass
 class DistillationTrace:
     config: ProtocolConfig
     records: list[IterationRecord]
-    final_state: Union[PureState, DensityOperator]
-    states: Optional[list] = None
+
+    @property
+    def final_state(self) -> Union[PureState, DensityOperator]:
+        return self.records[-1].state
 
 
 def prepare_epsilon_state(epsilon: float, d: int) -> PureState:
     """Two-mode input family (|0,0> + epsilon |1,1>)/sqrt(1 + epsilon^2)."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and >= 0")
     if d < 2:
         raise ValueError("truncation must be >= 2")
     fd = FockDims((d, d))
@@ -115,8 +139,8 @@ def prepare_epsilon_state(epsilon: float, d: int) -> PureState:
 
 def prepare_single_mode_state(epsilon: float, d: int) -> PureState:
     """Single-mode input family (|0> + epsilon |1>)/sqrt(1 + epsilon^2)."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and >= 0")
     if d < 2:
         raise ValueError("truncation must be >= 2")
     amps = np.zeros(d, dtype=complex)
@@ -268,18 +292,6 @@ def homodyne_step(state, x: float) -> MeasurementOutcome:
     return one_step(state, HomodyneFilter(x))
 
 
-def _metrics(state):
-    log_neg = (
-        measures.logarithmic_negativity(state) if state.dims.n_modes == 2 else math.nan
-    )
-    pur = measures.purity(state)
-    try:
-        gauss = measures.gaussianity_distance(state)
-    except ValueError:
-        gauss = math.nan
-    return log_neg, pur, gauss
-
-
 def _adaptive_step(state, config: ProtocolConfig):
     """Run one step, raising the truncation by 2 (up to the cap) while the
     post-mixing leak exceeds the threshold."""
@@ -294,14 +306,14 @@ def _adaptive_step(state, config: ProtocolConfig):
         current = pad(current, (new_d,) * current.dims.n_modes)
 
 
-def run(config: ProtocolConfig, keep_states: bool = False) -> DistillationTrace:
+def run(config: ProtocolConfig) -> DistillationTrace:
     """Iterate the protocol, recording per-step diagnostics.
 
     The trace has steps + 1 records; record 0 describes the initial state.
     Truncation is raised adaptively when a step leaks more than the
     threshold, capped at max_truncation (beyond the cap the leak is
-    reported in the record rather than raised). With keep_states the state
-    after every step is retained on the trace.
+    reported in the record rather than raised). Each record keeps the state
+    after its step and computes its metrics only when they are read.
     """
     if config.initial_state is not None:
         state = config.initial_state
@@ -312,9 +324,7 @@ def run(config: ProtocolConfig, keep_states: bool = False) -> DistillationTrace:
     else:
         state = prepare_single_mode_state(config.epsilon, config.truncation)
 
-    log_neg, pur, gauss = _metrics(state)
-    records = [IterationRecord(0, 1.0, 1.0, log_neg, pur, gauss, 0.0)]
-    states = [state]
+    records = [IterationRecord(0, 1.0, 1.0, 0.0, state)]
     cumulative = 1.0
     for k in range(1, config.steps + 1):
         try:
@@ -323,12 +333,5 @@ def run(config: ProtocolConfig, keep_states: bool = False) -> DistillationTrace:
             raise RareOutcomeError(f"step {k}: {exc}") from exc
         state = outcome.conditional_state
         cumulative *= outcome.probability
-        log_neg, pur, gauss = _metrics(state)
-        records.append(
-            IterationRecord(
-                k, outcome.probability, cumulative, log_neg, pur, gauss, outcome.leak
-            )
-        )
-        if keep_states:
-            states.append(state)
-    return DistillationTrace(config, records, state, states if keep_states else None)
+        records.append(IterationRecord(k, outcome.probability, cumulative, outcome.leak, state))
+    return DistillationTrace(config, records)

@@ -157,9 +157,10 @@ def test_criterion_3_efficiency_sweep_shape():
 
 def test_criterion_4_gaussification_trajectories():
     start = time.monotonic()
-    single = run(ProtocolConfig(steps=3, epsilon=EPS, mode_count=1), keep_states=True)
+    single = run(ProtocolConfig(steps=3, epsilon=EPS, mode_count=1))
     g = [r.gaussianity for r in single.records]
-    minima = [wigner(s, (-4, 4), (-4, 4), 161).minimum() for s in single.states]
+    states = [r.state for r in single.records]
+    minima = [wigner(s, (-4, 4), (-4, 4), 161).minimum() for s in states]
 
     two = run(ProtocolConfig(steps=16, epsilon=EPS, truncation=6, max_truncation=6))
     ens = [r.log_negativity for r in two.records]

@@ -161,6 +161,38 @@ def test_wigner_requires_single_mode_config():
         cmd_wigner(cfg, [0], ((-2.0, 2.0), (-2.0, 2.0), 21), None)
 
 
+# ---------------------------------------------------------------- metrics on demand
+
+
+def test_metrics_are_computed_only_when_read(tmp_path, monkeypatch):
+    from gaussify import measures
+
+    names = ("logarithmic_negativity", "purity", "gaussianity_distance")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(state, _fn=getattr(measures, name), _name=name):
+            calls[_name] += 1
+            return _fn(state)
+
+        monkeypatch.setattr(measures, name, counted)
+
+    trace = run(ProtocolConfig(steps=2, epsilon=0.95, truncation=6))
+    assert calls == dict.fromkeys(names, 0)
+    first = trace.records[1].gaussianity
+    assert trace.records[1].gaussianity == first
+    assert calls == {"logarithmic_negativity": 0, "purity": 0, "gaussianity_distance": 1}
+
+    calls.update(dict.fromkeys(names, 0))
+    cmd_sweep_eta(ProtocolConfig(steps=3, epsilon=0.95, truncation=5), [0.3, 0.6, 0.9], 3)
+    # E_N after 1 and 3 steps per point, plus the initial-state reference
+    assert calls == {"logarithmic_negativity": 2 * 3 + 1, "purity": 0, "gaussianity_distance": 0}
+
+    calls.update(dict.fromkeys(names, 0))
+    cfg = ProtocolConfig(steps=2, epsilon=0.95, mode_count=1)
+    cmd_wigner(cfg, [0, 1, 2], ((-4.0, 4.0), (-4.0, 4.0), 21), str(tmp_path / "w"))
+    assert calls == dict.fromkeys(names, 0)
+
+
 # ---------------------------------------------------------------- gaussian check
 
 
@@ -200,6 +232,15 @@ def test_main_config_errors_exit_one(tmp_path, capsys):
     assert main(["wigner", "--wigner=-4:4:-4:4:n"]) == 1
     assert main(["wigner", "--wigner=-4:4:-4:4:21", "--wigner-steps", "0,a"]) == 1
     assert main(["run", "--jobs", "0"]) == 1
+    # the whole grid rule (here the spacing <= 1) is checked before any step runs
+    assert main(["wigner", "--wigner=-4:4:-4:4:5"]) == 1
+    # NaN passes every "< 0" check; non-finite numbers are rejected with the ranges
+    assert main(["run", "--epsilon", "nan"]) == 1
+    assert main(["run", "--epsilon", "inf"]) == 1
+    assert main(["gaussian-check", "-r", "3", "--truncation", "8", "--tol", "nan"]) == 1
+    assert main(["gaussian-check", "-r", "nan"]) == 1
+    # --steps 0 is not "unset"
+    assert main(["sweep-eta", "--sweep-eta", "0.5", "--steps", "0"]) == 1
     for line in ("steps = abc", "jobs = 0"):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")

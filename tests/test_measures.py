@@ -164,10 +164,9 @@ def test_wigner_requires_single_mode():
 
 def test_single_mode_iteration_flattens_wigner_negativity():
     cfg = ProtocolConfig(steps=2, epsilon=0.95, mode_count=1)
-    trace = run(cfg, keep_states=True)
-    minima = [
-        wigner(state, (-4, 4), (-4, 4), 161).minimum() for state in trace.states
-    ]
+    trace = run(cfg)
+    states = [r.state for r in trace.records]
+    minima = [wigner(state, (-4, 4), (-4, 4), 161).minimum() for state in states]
     # the first step briefly deepens the dip before the iteration drives the
     # function toward a positive Gaussian
     assert minima[2] > minima[1]

@@ -473,3 +473,12 @@ def test_config_validation():
         ProtocolConfig(steps=1, truncation=1)
     with pytest.raises(ValueError):
         ProtocolConfig(steps=1, truncation=8, max_truncation=6)
+    # NaN passes "epsilon < 0"; the input family would then fail later as a
+    # numerical error instead of a rejected parameter
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ProtocolConfig(steps=1, epsilon=eps)
+        with pytest.raises(ValueError):
+            prepare_epsilon_state(eps, 4)
+        with pytest.raises(ValueError):
+            prepare_single_mode_state(eps, 4)
