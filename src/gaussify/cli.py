@@ -31,6 +31,7 @@ from .measurements import (
     RareOutcomeError,
 )
 from .protocol import (
+    LEAK_THRESHOLD,
     ProtocolConfig,
     one_step,
     run,
@@ -211,7 +212,7 @@ def _config_pairs(config: ProtocolConfig) -> list:
         ("max_truncation", config.max_truncation),
         ("detector", detector_label(config.detector)),
         ("single_mode", str(config.mode_count == 1).lower()),
-        ("leak_threshold", _fmt(config.leak_threshold)),
+        ("leak_threshold", _fmt(LEAK_THRESHOLD)),
     ]
 
 
@@ -279,7 +280,7 @@ def cmd_sweep_eta(
     lines = _header_lines(pairs)
     lines.append("eta,steps,log_negativity,initial_log_negativity")
     for eta, records in zip(etas, results):
-        for steps in (1, long_steps):
+        for steps in sorted({1, long_steps}):
             log_neg = records[steps].log_negativity
             lines.append(",".join([_fmt(float(eta)), str(steps), _fmt(log_neg), _fmt(reference)]))
     text = "\n".join(lines) + "\n"
@@ -354,8 +355,8 @@ def cmd_gaussian_check(r: float, d: int, tol: float = 1e-4, out_path=None) -> st
     two-mode squeezed input, and the symplectic identity residual of the
     heterodyne beam-splitter map. Raises ToleranceBreach above ``tol``.
     """
-    if not r >= 0:
-        raise ConfigError("squeezing r must be >= 0")
+    if not 0 <= r < math.inf:
+        raise ConfigError("squeezing r must be finite and >= 0")
     if not tol >= 0:
         raise ConfigError("tolerance must be >= 0")
     if d < 8:

@@ -283,30 +283,34 @@ def beamsplitter_unitary(dim: int, transmissivity: float = 0.5) -> np.ndarray:
     photon number; blocks are the exact untruncated transformation projected
     onto the retained levels, so blocks with total number < dim are exactly
     unitary and higher blocks lose the weight that would cross the cutoff.
+
+    Built from U|p,q> = (t a+ + r b+)^p (-r a+ + t b+)^q |0,0> / sqrt(p! q!)
+    with t = sqrt(T), r = sqrt(1-T): each column takes one creation operator
+    from its neighbour with one photon fewer on the larger input port (always
+    stepping port a first drifts to 4e-10 by d = 30). Output levels < dim
+    need only output levels < dim, so the entries are exact.
     """
     if not 0.0 < transmissivity <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
-    theta = math.acos(math.sqrt(transmissivity))
-    U = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for total in range(2 * dim - 1):
-        size = total + 1
-        gen = np.zeros((size, size))
-        # generator -theta*(a+ b - b+ a) restricted to the fixed-total block,
-        # indexed by the photon number j in the first mode
-        for j in range(size - 1):
-            g = math.sqrt((j + 1) * (total - j))
-            gen[j + 1, j] = -theta * g
-            gen[j, j + 1] = theta * g
-        block = expm(gen)
-        for j_out in range(size):
-            if j_out >= dim or total - j_out >= dim:
-                continue
-            row = j_out * dim + (total - j_out)
-            for j_in in range(size):
-                if j_in >= dim or total - j_in >= dim:
-                    continue
-                U[row, j_in * dim + (total - j_in)] = block[j_out, j_in]
-    return U
+    t, r = math.sqrt(transmissivity), math.sqrt(1.0 - transmissivity)
+    up = np.sqrt(np.arange(1, dim, dtype=float))  # <n+1| a+ |n>
+
+    def create(prev, ca, cb):
+        """(ca a+ + cb b+) on a stack of output grids prev[:, m, n]."""
+        out = np.zeros_like(prev)
+        out[:, 1:, :] = ca * up[:, None] * prev[:, :-1, :]
+        out[:, :, 1:] += cb * up * prev[:, :, :-1]
+        return out
+
+    u = np.zeros((dim, dim, dim, dim))  # u[p, q, m, n] = <m,n| U |p,q>
+    u[0, 0, 0, 0] = 1.0
+    # columns with max(p, q) = k: first (p < k, k) from (p, k - 1), then
+    # (k, q <= k) from (k - 1, q), which includes the (k - 1, k) just built
+    for k in range(1, dim):
+        root = math.sqrt(k)
+        u[:k, k] = create(u[:k, k - 1], -r / root, t / root)
+        u[k, : k + 1] = create(u[k - 1, : k + 1], t / root, r / root)
+    return u.reshape(dim * dim, dim * dim).T.astype(complex, order="C")
 
 
 def squeezer_unitary(dim: int, s: float) -> np.ndarray:
@@ -334,7 +338,11 @@ def _apply_to_axes(tensor_arr: np.ndarray, op_tensor: np.ndarray, axes, k: int) 
 
 
 def apply_unitary(state, unitary: np.ndarray, modes):
-    """Apply a unitary acting on the listed modes; conjugation for density operators."""
+    """Apply an operator A acting on the listed modes: psi -> A psi, rho -> A rho A+.
+
+    A need not be unitary (measurement effects pass through here too); the
+    result is not renormalized.
+    """
     modes = tuple(int(m) for m in modes)
     dims = state.dims.dims
     if any(m < 0 or m >= len(dims) for m in modes):
@@ -359,21 +367,6 @@ def apply_unitary(state, unitary: np.ndarray, modes):
         t = _apply_to_axes(t, U_t.conj(), bra_axes, k)
         return DensityOperator(state.dims, t.reshape(state.dims.size, state.dims.size))
     raise TypeError(f"unsupported state type {type(state)!r}")
-
-
-def apply_single_mode_operator(state, op: np.ndarray, mode: int):
-    """Apply a (not necessarily unitary) single-mode operator A: psi -> A psi, rho -> A rho A+."""
-    op = np.asarray(op, dtype=complex)
-    d = state.dims.dims[mode]
-    if op.shape != (d, d):
-        raise ValueError("operator does not match the mode dimension")
-    if isinstance(state, PureState):
-        out = _apply_to_axes(state.tensor_view(), op, (mode,), 1)
-        return PureState(state.dims, out.reshape(-1))
-    n = state.n_modes
-    t = _apply_to_axes(state.tensor_view(), op, (mode,), 1)
-    t = _apply_to_axes(t, op.conj(), (mode + n,), 1)
-    return DensityOperator(state.dims, t.reshape(state.dims.size, state.dims.size))
 
 
 def pad(state, new_dims):

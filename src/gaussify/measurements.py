@@ -16,7 +16,7 @@ from scipy.special import gammainc
 from .fock import (
     DensityOperator,
     PureState,
-    apply_single_mode_operator,
+    apply_unitary,
     coherent_ket,
     partial_trace,
 )
@@ -181,7 +181,7 @@ def condition_on(state, effect: np.ndarray, mode: int) -> MeasurementOutcome:
             out = PureState(state.dims.restricted(keep), reduced.reshape(-1)).normalized()
             return MeasurementOutcome(out, p)
         sqrt_e = (evecs * np.sqrt(evals)) @ evecs.conj().T
-        phi = apply_single_mode_operator(state, sqrt_e, mode)
+        phi = apply_unitary(state, sqrt_e, (mode,))
         p = float(phi.norm() ** 2)
         if p < P_FLOOR:
             raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")
@@ -194,7 +194,7 @@ def condition_on(state, effect: np.ndarray, mode: int) -> MeasurementOutcome:
 
     if isinstance(state, DensityOperator):
         sqrt_e = (evecs * np.sqrt(evals)) @ evecs.conj().T
-        conditioned = apply_single_mode_operator(state, sqrt_e, mode)
+        conditioned = apply_unitary(state, sqrt_e, (mode,))
         p = conditioned.trace()
         if p < P_FLOOR:
             raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")

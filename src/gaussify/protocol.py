@@ -60,7 +60,6 @@ class ProtocolConfig:
     truncation: Optional[int] = None
     max_truncation: Optional[int] = None
     detector: DetectorModel = field(default_factory=IdealVacuum)
-    leak_threshold: float = LEAK_THRESHOLD
     initial_state: Optional[Union[PureState, DensityOperator]] = None
 
     def __post_init__(self):
@@ -300,7 +299,7 @@ def _adaptive_step(state, config: ProtocolConfig):
     while True:
         outcome = step_fn(current, config.detector)
         d = current.dims.dims[0]
-        if outcome.leak <= config.leak_threshold or d >= config.max_truncation:
+        if outcome.leak <= LEAK_THRESHOLD or d >= config.max_truncation:
             return outcome
         new_d = min(d + 2, config.max_truncation)
         current = pad(current, (new_d,) * current.dims.n_modes)

@@ -138,6 +138,13 @@ def test_sweep_is_deterministic_under_parallelism():
     assert cmd_sweep_eta(cfg, etas, 4, jobs=1) == cmd_sweep_eta(cfg, etas, 4, jobs=3)
 
 
+def test_sweep_with_one_step_writes_one_row_per_efficiency(tmp_path):
+    path = tmp_path / "sweep.csv"
+    assert main(["sweep-eta", "--sweep-eta", "0.5", "--steps", "1", "--out", str(path)]) == 0
+    _, rows = _data_rows(path.read_text())
+    assert [row.split(",")[:2] for row in rows] == [["0.5", "1"]]
+
+
 # ---------------------------------------------------------------- wigner command
 
 
@@ -239,6 +246,7 @@ def test_main_config_errors_exit_one(tmp_path, capsys):
     assert main(["run", "--epsilon", "inf"]) == 1
     assert main(["gaussian-check", "-r", "3", "--truncation", "8", "--tol", "nan"]) == 1
     assert main(["gaussian-check", "-r", "nan"]) == 1
+    assert main(["gaussian-check", "-r", "inf", "--truncation", "8"]) == 1
     # --steps 0 is not "unset"
     assert main(["sweep-eta", "--sweep-eta", "0.5", "--steps", "0"]) == 1
     for line in ("steps = abc", "jobs = 0"):

@@ -232,6 +232,36 @@ def test_beamsplitter_transmissivity_amplitudes():
     assert abs(out[fd.flat_index((0, 1))] - math.sqrt(t)) < 1e-14
 
 
+def _mpmath_beamsplitter(d, transmissivity):
+    """<m,n|U|p,q> at 40 digits from the binomial expansion of
+    (t a+ + r b+)^p (-r a+ + t b+)^q |0,0> / sqrt(p! q!), rounded to double."""
+    from mpmath import mp
+
+    U = np.zeros((d * d, d * d))
+    with mp.workdps(40):
+        t = mp.sqrt(mp.mpf(transmissivity))
+        r = mp.sqrt(1 - mp.mpf(transmissivity))
+        for p in range(d):
+            for q in range(d):
+                for m in range(max(0, p + q - d + 1), min(d, p + q + 1)):
+                    n = p + q - m
+                    # j of the p photons and m - j of the q photons leave by port a
+                    s = mp.fsum(
+                        mp.binomial(p, j) * mp.binomial(q, m - j)
+                        * t**j * r ** (p - j) * (-r) ** (m - j) * t ** (q - m + j)
+                        for j in range(max(0, m - q), min(p, m) + 1)
+                    )
+                    norm = mp.factorial(m) * mp.factorial(n) / (mp.factorial(p) * mp.factorial(q))
+                    U[m * d + n, p * d + q] = float(s * mp.sqrt(norm))
+    return U
+
+
+def test_beamsplitter_matches_mpmath_reference():
+    for d, transmissivity in ((10, 0.5), (16, 0.5), (8, 0.9)):
+        ref = _mpmath_beamsplitter(d, transmissivity)
+        assert np.max(np.abs(beamsplitter_unitary(d, transmissivity) - ref)) < 1e-15
+
+
 # ---------------------------------------------------------------- squeezer
 
 

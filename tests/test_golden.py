@@ -1,9 +1,16 @@
 """Golden-file check of the README's CLI outputs.
 
 Every file under tests/golden/ was written by the listed argv with
-``--out tests/golden/<name>`` before the four step kernels were merged into
-one. Header lines and data cells must match, numbers within a per-column
-tolerance:
+``--out tests/golden/<name>``. ``sweep_eta.csv`` and ``wigner_step*.csv``
+date from before the four step kernels were merged into one.
+``run_vacuum.csv``, ``run_onoff.csv`` and ``gaussian_check.csv`` were
+re-recorded once the beam splitter was built by its creation-operator
+recurrence instead of per-block ``expm``: only their ``leak``,
+``gaussianity`` and ``max_gamma_deviation`` cells moved. The old splitter's
+entries were off by up to 5.5e-14 at d <= 16, which put three leak cells
+beyond the 1e-15 bound below; even an exact splitter misses the old vacuum
+step-4 leak by 4e-15. Header lines and data cells must match, numbers
+within a per-column tolerance:
 
 - p, E_N, purity, sweep and check values: 1e-10 relative;
 - ``leak``: 1e-15 absolute. The leak is 1 - tr of the mixed state, so its

@@ -256,6 +256,26 @@ def test_one_step_requires_two_equal_modes():
         one_step(vacuum((4, 5)), IdealVacuum())
 
 
+@pytest.mark.parametrize(
+    "detector",
+    [IdealVacuum(), OnOff(0.6), OnOff(0.0), HomodyneFilter(1.5)],
+    ids=["vacuum", "onoff0.6", "onoff0", "homodyne1.5"],
+)
+def test_step_outputs_are_valid_density_operators(detector):
+    # Hermitian, unit trace and positive after every step of both variants
+    variants = (
+        (one_step, prepare_epsilon_state, (4, 6, 8)),
+        (one_step_single_mode, prepare_single_mode_state, (8, 10, 12)),
+    )
+    for step, prepare, cutoffs in variants:
+        for d in cutoffs:
+            state = prepare(0.95, d)
+            for _ in range(3):
+                state = step(state, detector).conditional_state
+                rho = state if isinstance(state, DensityOperator) else state.to_density()
+                rho.validate()
+
+
 # ------------------------------------------------------------ single-mode variant
 
 
