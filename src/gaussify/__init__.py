@@ -2,6 +2,12 @@
 optical states, simulated in truncated Fock space with ideal, inefficient
 on/off, or homodyne-filtered conditioning."""
 
+import os
+
+# Small matrices: BLAS threads gain little and spin on the cores a --jobs pool needs (README).
+if not any(map(os.environ.get, ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .fock import (
     DensityOperator,
     FockDims,

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +283,21 @@ def test_main_flags_override_config_file(tmp_path, capsys):
     assert "# steps = 1" in text
     _, rows = _data_rows(text)
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2"), ({"OMP_NUM_THREADS": "2"}, "None")],
+)
+def test_blas_defaults_to_one_thread_unless_a_count_is_set(preset, expected):
+    """Importing gaussify first (as the CLI does) picks one OpenBLAS thread,
+    but an explicit thread count in any of the BLAS variables wins."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(preset)
+    code = "import gaussify, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == expected
