@@ -298,9 +298,10 @@ def write_wigner_grid(grid: WignerGrid, pairs, path) -> str:
         f"# resolution = {len(grid.xs)}",
         "x,p,w",
     ]
-    for i, x in enumerate(grid.xs):
-        for j, p in enumerate(grid.ps):
-            lines.append(f"{_fmt(float(x))},{_fmt(float(p))},{_fmt(float(grid.values[i, j]))}")
+    X, P = np.meshgrid(grid.xs, grid.ps, indexing="ij")
+    columns = (X.ravel().tolist(), P.ravel().tolist(), grid.values.ravel().tolist())
+    # byte-identical to _fmt, nan included
+    lines += ["%.12g,%.12g,%.12g" % row for row in zip(*columns)]
     text = "\n".join(lines) + "\n"
     _emit(text, path)
     return text
@@ -517,7 +518,7 @@ def main(argv=None) -> int:
     except ToleranceBreach as exc:
         print(f"tolerance breach: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except (RareOutcomeError, np.linalg.LinAlgError, ValueError) as exc:
+    except (RareOutcomeError, np.linalg.LinAlgError, ValueError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

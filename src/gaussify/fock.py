@@ -205,12 +205,15 @@ def coherent_ket(dim: int, alpha: complex) -> PureState:
 
 
 def two_mode_squeezed_ket(r: float, dim: int) -> PureState:
-    """Two-mode squeezed vacuum sum_n tanh(r)^n |n,n> / cosh(r), truncated and normalized."""
+    """Two-mode squeezed vacuum sum_n tanh(r)^n |n,n>, truncated and normalized.
+
+    Normalizing divides out the 1/cosh(r) prefactor, which overflows at large r.
+    """
     fd = FockDims((dim, dim))
     amps = np.zeros(fd.size, dtype=complex)
     t = math.tanh(r)
     for n in range(dim):
-        amps[fd.flat_index((n, n))] = t ** n / math.cosh(r)
+        amps[fd.flat_index((n, n))] = t ** n
     return PureState(fd, amps).normalized()
 
 

@@ -83,27 +83,6 @@ class WignerGrid:
         return float(self.values.min())
 
 
-def _displacement_elements(beta: np.ndarray, dim: int) -> np.ndarray:
-    """Exact matrix elements <m|D(beta)|n> for m, n < dim, vectorized over beta.
-
-    Uses the associated-Laguerre closed form; for m >= n,
-    <m|D|n> = sqrt(n!/m!) beta^(m-n) exp(-|beta|^2/2) L_n^(m-n)(|beta|^2),
-    and the m < n elements follow from <m|D(beta)|n> = conj(<n|D(-beta)|m>).
-    """
-    u = np.abs(beta) ** 2
-    env = np.exp(-u / 2)
-    logf = gammaln(np.arange(1, dim + 1, dtype=float))
-    out = np.empty((dim, dim) + beta.shape, dtype=complex)
-    for m in range(dim):
-        for n in range(m + 1):
-            pref = math.exp(0.5 * (logf[n] - logf[m]))
-            lag = eval_genlaguerre(n, m - n, u)
-            out[m, n] = pref * beta ** (m - n) * env * lag
-            if m != n:
-                out[n, m] = pref * (-np.conj(beta)) ** (m - n) * env * lag
-    return out
-
-
 def wigner_axes(x_range, p_range, resolution):
     """The x and p axes of a Wigner grid: increasing ranges, at least 2 points
     per axis, and a spacing no wider than the vacuum width 1."""
@@ -125,18 +104,27 @@ def wigner(state, x_range, p_range, resolution) -> WignerGrid:
     W(x, p) = (1/pi) sum_n (-1)^n <n| D+(alpha) rho D(alpha) |n> with
     alpha = (x + i p)/sqrt(2), evaluated through exact displacement matrix
     elements so finite-support states incur no parity-sum truncation error.
+    With beta = 2 alpha and h = (rho + rho+)/2 the sum runs over the non-zero
+    pairs m >= n of h only, each folded with its Hermitian partner:
+    W = (1/pi) sum (2 - delta_mn) (-1)^n Re(h_nm <m|D(beta)|n>), where
+    <m|D(beta)|n> = sqrt(n!/m!) beta^(m-n) exp(-|beta|^2/2) L_n^(m-n)(|beta|^2).
     """
     rho = _as_density(state)
     if rho.n_modes != 1:
         raise ValueError("Wigner grids are computed for single-mode states")
     xs, ps = wigner_axes(x_range, p_range, resolution)
-    d = rho.dims.dims[0]
     X, P = np.meshgrid(xs, ps, indexing="ij")
     beta = np.sqrt(2.0) * (X + 1j * P)  # 2*alpha
-    D = _displacement_elements(beta, d)
-    signs = (-1.0) ** np.arange(d)
-    w = np.einsum("nm,mnxp->xp", rho.matrix * signs[:, None], D)
-    return WignerGrid(xs, ps, np.real(w) / math.pi)
+    u = np.abs(beta) ** 2
+    env = np.exp(-u / 2)
+    h = (rho.matrix + rho.matrix.conj().T) / 2
+    logf = gammaln(np.arange(1, len(h) + 1, dtype=float))
+    w = np.zeros(u.shape)
+    for n, m in zip(*np.nonzero(np.triu(h))):
+        pref = (1 + (m > n)) * (-1) ** n * math.exp(0.5 * (logf[n] - logf[m]))
+        lag = eval_genlaguerre(n, m - n, u)
+        w += np.real(h[n, m] * (pref * beta ** (m - n) * env * lag))
+    return WignerGrid(xs, ps, w / math.pi)
 
 
 def gaussianity_distance(state) -> float:

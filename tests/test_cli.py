@@ -266,6 +266,9 @@ def test_main_numerical_failure_exits_two(capsys):
     # rank-one effect at both parties: p = e0^2 |phi|^2 = 4.7e-15, not e0 |phi|^2
     assert main(["run", "--steps", "1", "--detector", "homodyne:0.0003",
                  "--truncation", "5"]) == 2
+    # cosh(2r) of the covariance prediction overflows: a numerical failure, not a traceback
+    assert main(["gaussian-check", "-r", "800", "--truncation", "8"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_main_tolerance_breach_exits_three(capsys):

@@ -10,6 +10,7 @@ from gaussify import (
     ProtocolConfig,
     PureState,
     coherent_ket,
+    displacement_unitary,
     fidelity,
     fock_ket,
     gaussianity_distance,
@@ -148,6 +149,44 @@ def test_wigner_of_single_photon_dips_negative():
     assert np.max(np.abs(grid.values - closed_form)) < 1e-12
     assert abs(grid.minimum() + 1.0 / math.pi) < 1e-12
     assert abs(grid.integral() - 1.0) < 1e-3
+
+
+def test_wigner_of_coherent_state_is_a_displaced_gaussian():
+    # off-diagonal pairs fix the orientation of p and the sign of each partner
+    alpha = 0.7 + 0.3j
+    grid = wigner(coherent_ket(30, alpha).normalized(), (-3, 3), (-3, 3), 61)
+    X, P = np.meshgrid(grid.xs, grid.ps, indexing="ij")
+    x0, p0 = math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag
+    closed_form = np.exp(-((X - x0) ** 2) - (P - p0) ** 2) / math.pi
+    assert np.max(np.abs(grid.values - closed_form)) < 1e-12
+
+
+def _displaced_parity_oracle(rho, xs, ps):
+    """W = (1/pi) sum_n (-1)^n (rho D(beta))_nn, D from the generator at a wide cutoff."""
+    d = len(rho)
+    signs = (-1.0) ** np.arange(d)
+    out = np.empty((len(xs), len(ps)))
+    for i, x in enumerate(xs):
+        for j, p in enumerate(ps):
+            D = displacement_unitary(120, math.sqrt(2) * complex(x, p))[:d, :d]
+            out[i, j] = np.real(np.sum(signs * np.diag(rho @ D))) / math.pi
+    return out
+
+
+def test_wigner_matches_displaced_parity_oracle_on_dense_and_sparse_states():
+    rng = np.random.default_rng(17)
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    dense = g @ g.conj().T
+    dense = DensityOperator((8,), dense / np.trace(dense).real)
+    sparse = run(ProtocolConfig(steps=2, epsilon=0.95, mode_count=1)).records[2].state
+    sparse_rho = sparse.to_density().matrix
+    d = len(sparse_rho)
+    # the parity-sparse iterate leaves most lower-triangle pairs at exactly zero
+    assert 0 < np.count_nonzero(np.tril(sparse_rho)) < d * (d + 1) // 4
+    for state, rho in ((dense, dense.matrix), (sparse, sparse_rho)):
+        grid = wigner(state, (-2, 2), (-2, 2), 9)
+        oracle = _displaced_parity_oracle(rho, grid.xs, grid.ps)
+        assert np.max(np.abs(grid.values - oracle)) < 1e-12
 
 
 def test_wigner_rejects_coarse_grids():
