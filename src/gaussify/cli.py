@@ -362,10 +362,11 @@ def cmd_gaussian_check(r: float, d: int, tol: float = 1e-4, out_path=None) -> st
         raise ConfigError("tolerance must be >= 0")
     if d < 8:
         raise ConfigError("truncation must be >= 8 for the cross check")
+    # the prediction first: a squeezing whose covariance overflows fails before the Fock work
+    predicted = ideal_step_covariance(two_mode_squeezed(r))
     psi = two_mode_squeezed_ket(r, d)
     outcome = one_step(psi, IdealVacuum())
     fock_moments = covariance_of_state(outcome.conditional_state)
-    predicted = ideal_step_covariance(two_mode_squeezed(r))
     gamma_dev = float(np.max(np.abs(fock_moments.gamma - predicted.gamma)))
     d_dev = float(np.max(np.abs(fock_moments.d - predicted.d)))
 

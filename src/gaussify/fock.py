@@ -132,7 +132,7 @@ class DensityOperator:
     def tensor_view(self) -> np.ndarray:
         return self.matrix.reshape(self.dims.dims + self.dims.dims)
 
-    def validate(self, positivity_tol: float = POSITIVITY_TOL):
+    def validate(self):
         """Raise if the operator is not Hermitian, unit-trace and positive within tolerance."""
         h = np.linalg.norm(self.matrix - self.matrix.conj().T, ord="fro")
         if h > HERMITICITY_TOL * max(1.0, np.linalg.norm(self.matrix, ord="fro")):
@@ -140,8 +140,8 @@ class DensityOperator:
         if abs(self.trace() - 1.0) > max(NORM_TOL, 1e3 * np.finfo(float).eps * self.dims.size):
             raise ValueError(f"trace {self.trace()} is not 1")
         w = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)
-        if w.min() < -positivity_tol:
-            raise ValueError(f"minimum eigenvalue {w.min():.3e} below -{positivity_tol}")
+        if w.min() < -POSITIVITY_TOL:
+            raise ValueError(f"minimum eigenvalue {w.min():.3e} below -{POSITIVITY_TOL}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from scipy.linalg import schur
 
 from .fock import (
     DensityOperator,
-    FockDims,
     PureState,
     _as_dims,
     destroy,
@@ -26,6 +25,8 @@ from .fock import (
 
 SYMMETRY_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
+UNCERTAINTY_TOL = 1e-8  # allowed negative eigenvalue of gamma + i Omega
+NU_FLOOR = 0.05  # to_fock_density rejects symplectic eigenvalues below 1 - NU_FLOOR
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -61,12 +62,12 @@ class GaussianState:
     def n_modes(self) -> int:
         return self.gamma.shape[0] // 2
 
-    def validate(self, tol: float = 1e-8):
-        """Raise unless gamma + i*Omega >= 0 within tolerance."""
+    def validate(self):
+        """Raise unless gamma + i*Omega >= 0 within UNCERTAINTY_TOL."""
         omega = symplectic_form(self.n_modes)
         w = np.linalg.eigvalsh(self.gamma.astype(complex) + 1j * omega)
-        if w.min() < -tol:
-            raise ValueError(f"gamma + i Omega has eigenvalue {w.min():.3e} < -{tol}")
+        if w.min() < -UNCERTAINTY_TOL:
+            raise ValueError(f"gamma + i Omega has eigenvalue {w.min():.3e} < -{UNCERTAINTY_TOL}")
 
 
 @dataclass
@@ -81,15 +82,11 @@ class SymplecticMap:
         if self.S.shape != (m, m) or m % 2 != 0:
             raise ValueError(f"symplectic matrix must be square of even size, got {self.S.shape}")
 
-    def check(self, tol: float = SYMPLECTIC_TOL):
+    def check(self):
         omega = symplectic_form(self.S.shape[0] // 2)
         dev = np.max(np.abs(self.S @ omega @ self.S.T - omega))
-        if dev > tol:
+        if dev > SYMPLECTIC_TOL:
             raise ValueError(f"map is not symplectic (deviation {dev:.3e})")
-
-
-def _as_matrix(S) -> np.ndarray:
-    return S.S if isinstance(S, SymplecticMap) else np.asarray(S, dtype=float)
 
 
 def eight_port_symplectic(n_extra_modes: int = 0) -> SymplecticMap:
@@ -139,7 +136,7 @@ def beamsplitter_symplectic(transmissivity: float = 0.5) -> SymplecticMap:
 
 def apply_symplectic(gs: GaussianState, S) -> GaussianState:
     """gamma -> S gamma S^T, d -> S d."""
-    S = _as_matrix(S)
+    S = S.S if isinstance(S, SymplecticMap) else np.asarray(S, dtype=float)
     if S.shape[0] != gs.gamma.shape[0]:
         raise ValueError(
             f"map size {S.shape[0]} does not match state size {gs.gamma.shape[0]}"
@@ -148,6 +145,8 @@ def apply_symplectic(gs: GaussianState, S) -> GaussianState:
 
 
 def _partition(gs: GaussianState, mode: int):
+    if mode < 0 or mode >= gs.n_modes:
+        raise ValueError(f"mode {mode} invalid for {gs.n_modes} modes")
     m = 2 * mode
     n = gs.gamma.shape[0]
     meas = [m, m + 1]
@@ -164,8 +163,6 @@ def vacuum_condition(gs: GaussianState, mode: int) -> GaussianState:
     The displacement update is the linear Gaussian conditioning toward the
     zero outcome: d' = d_rest - C^T (A + I)^-1 d_meas.
     """
-    if mode < 0 or mode >= gs.n_modes:
-        raise ValueError(f"mode {mode} invalid for {gs.n_modes} modes")
     A, B, C, d_m, d_r = _partition(gs, mode)
     M = A + np.eye(2)
     if np.linalg.cond(M) > 1e12:
@@ -181,38 +178,40 @@ def homodyne_condition(
     """Condition on a quadrature measurement of one mode (pseudo-inverse Schur update)."""
     if quadrature not in ("x", "p"):
         raise ValueError("quadrature must be 'x' or 'p'")
-    if mode < 0 or mode >= gs.n_modes:
-        raise ValueError(f"mode {mode} invalid for {gs.n_modes} modes")
     A, B, C, d_m, d_r = _partition(gs, mode)
     pi = np.diag([1.0, 0.0]) if quadrature == "x" else np.diag([0.0, 1.0])
     pinv = np.linalg.pinv(pi @ A @ pi)
     e = pi @ np.array([outcome, outcome])
-    gamma = B - C.T @ pinv @ C
-    d = d_r + C.T @ pinv @ (e - pi @ d_m)
-    return GaussianState(gamma, d)
+    return GaussianState(B - C.T @ pinv @ C, d_r + C.T @ pinv @ (e - pi @ d_m))
 
 
 def two_mode_squeezed(r: float) -> GaussianState:
     """Covariance of the two-mode squeezed vacuum with squeezing parameter r."""
-    c, s = math.cosh(2 * r), math.sinh(2 * r)
+    try:
+        c, s = math.cosh(2 * r), math.sinh(2 * r)
+    except OverflowError:
+        raise OverflowError(f"cosh(2r) overflows a double at squeezing r = {r:g}") from None
     Z = np.diag([1.0, -1.0])
     gamma = np.block([[c * np.eye(2), s * Z], [s * Z, c * np.eye(2)]])
     return GaussianState(gamma, np.zeros(4))
 
 
-def quadrature_operators(dims) -> list[np.ndarray]:
-    """Full-space matrices [x_1, p_1, x_2, p_2, ...] for the given truncations."""
-    fd = _as_dims(dims)
-    ops = []
-    for m, d in enumerate(fd.dims):
-        a = destroy(d)
-        x = (a + a.conj().T) / math.sqrt(2)
-        p = -1j * (a - a.conj().T) / math.sqrt(2)
-        left = np.eye(int(np.prod(fd.dims[:m])), dtype=complex)
-        right = np.eye(int(np.prod(fd.dims[m + 1 :])), dtype=complex)
-        ops.append(np.kron(np.kron(left, x), right))
-        ops.append(np.kron(np.kron(left, p), right))
-    return ops
+def _quadrature_product(dims: tuple[int, ...], js, pad: int = 0) -> np.ndarray:
+    """Full-space product R_j1 R_j2 ... of the quadratures listed in ``js``.
+
+    Quadratures on one mode multiply as single-mode matrices on cutoff
+    d + pad; each mode's piece is cut to d before the pieces are composed by
+    ``kron``, so no full-space matrix is ever multiplied.
+    """
+    pieces = []
+    for m, d in enumerate(dims):
+        a = destroy(d + pad)
+        piece = np.eye(d + pad, dtype=complex)
+        for j in (j for j in js if j // 2 == m):
+            r = a + a.conj().T if j % 2 == 0 else -1j * (a - a.conj().T)
+            piece = piece @ (r / math.sqrt(2))
+        pieces.append(piece[:d, :d])
+    return tensor(*pieces)
 
 
 def covariance_of_state(state) -> GaussianState:
@@ -220,15 +219,17 @@ def covariance_of_state(state) -> GaussianState:
     rho = state.to_density() if isinstance(state, PureState) else state
     if not isinstance(rho, DensityOperator):
         raise TypeError(f"unsupported state type {type(state)!r}")
-    R = quadrature_operators(rho.dims)
-    n_q = len(R)
-    d = np.array([np.real(np.trace(rho.matrix @ r)) for r in R])
+    rho_t = np.ascontiguousarray(rho.matrix.T)
+
+    def moment(*js):  # Re tr[rho R_j1 R_j2 ...] = Re sum(rho^T * P), one O(D^2) pass
+        return np.real(np.sum(rho_t * _quadrature_product(rho.dims.dims, js)))
+
+    n_q = 2 * rho.n_modes
+    d = np.array([moment(j) for j in range(n_q)])
     gamma = np.empty((n_q, n_q))
-    rho_R = [rho.matrix @ r for r in R]
     for j in range(n_q):
         for k in range(j, n_q):
-            second = np.real(np.sum(rho_R[j].T * R[k]))  # tr[rho R_j R_k]
-            gamma[j, k] = gamma[k, j] = 2.0 * second - 2.0 * d[j] * d[k]
+            gamma[j, k] = gamma[k, j] = 2.0 * moment(j, k) - 2.0 * d[j] * d[k]
     return GaussianState(gamma, d)
 
 
@@ -259,19 +260,19 @@ def williamson(gamma: np.ndarray):
     return nu, S
 
 
-def to_fock_density(gs: GaussianState, dims, nu_floor: float = 0.05) -> DensityOperator:
+def to_fock_density(gs: GaussianState, dims) -> DensityOperator:
     """Build the Gaussian state with the given moments on a truncated Fock basis.
 
     Constructs the Gibbs operator exp(-H) of the quadratic Hamiltonian whose
     covariance matches gamma, then displaces it. Symplectic eigenvalues are
-    clipped at the pure-state bound nu = 1; values below 1 - nu_floor signal
+    clipped at the pure-state bound nu = 1; values below 1 - NU_FLOOR signal
     moments corrupted by truncation leak and raise.
     """
     fd = _as_dims(dims)
     if fd.n_modes != gs.n_modes:
         raise ValueError("mode count of dims does not match the Gaussian state")
     nu, S = williamson(gs.gamma)
-    if nu.min() < 1.0 - nu_floor:
+    if nu.min() < 1.0 - NU_FLOOR:
         raise ValueError(
             f"symplectic eigenvalue {nu.min():.4f} below the uncertainty bound; "
             "moment matrix invalid (truncation leak too large)"
@@ -280,17 +281,13 @@ def to_fock_density(gs: GaussianState, dims, nu_floor: float = 0.05) -> DensityO
     beta = np.log((nu + 1.0) / (nu - 1.0))
     S_inv = np.linalg.inv(S)
     G = S_inv.T @ np.diag(np.repeat(beta, 2)) @ S_inv
-    # Build the quadratic Hamiltonian on a padded basis and cut afterwards;
-    # truncated-operator products would corrupt the top Fock level.
-    padded = FockDims(tuple(d + 2 for d in fd.dims))
-    R = quadrature_operators(padded)
-    H_pad = np.zeros((padded.size, padded.size), dtype=complex)
+    # Products on one mode are formed two levels above the cutoff and cut
+    # afterwards; truncated-operator products would corrupt the top Fock level.
+    H = np.zeros((fd.size, fd.size), dtype=complex)
     for j in range(2 * fd.n_modes):
         for k in range(2 * fd.n_modes):
             if G[j, k] != 0.0:
-                H_pad += 0.5 * G[j, k] * (R[j] @ R[k])
-    cut = tuple(slice(0, d) for d in fd.dims)
-    H = H_pad.reshape(padded.dims + padded.dims)[cut + cut].reshape(fd.size, fd.size)
+                H += 0.5 * G[j, k] * _quadrature_product(fd.dims, (j, k), pad=2)
     H = (H + H.conj().T) / 2
     w, V = np.linalg.eigh(H)
     probs = np.exp(-(w - w.min()))
@@ -302,7 +299,7 @@ def to_fock_density(gs: GaussianState, dims, nu_floor: float = 0.05) -> DensityO
             displacement_unitary(dm, (gs.d[2 * m] + 1j * gs.d[2 * m + 1]) / math.sqrt(2))
             for m, dm in enumerate(fd.dims)
         ]
-        U = tensor(*units) if len(units) > 1 else units[0]
+        U = tensor(*units)
         out = DensityOperator(fd, U @ rho @ U.conj().T)
     return out
 

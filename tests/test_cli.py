@@ -266,9 +266,14 @@ def test_main_numerical_failure_exits_two(capsys):
     # rank-one effect at both parties: p = e0^2 |phi|^2 = 4.7e-15, not e0 |phi|^2
     assert main(["run", "--steps", "1", "--detector", "homodyne:0.0003",
                  "--truncation", "5"]) == 2
-    # cosh(2r) of the covariance prediction overflows: a numerical failure, not a traceback
-    assert main(["gaussian-check", "-r", "800", "--truncation", "8"]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    # cosh(2r) of the covariance prediction overflows: a numerical failure, not a
+    # traceback, and the message names the squeezing and the overflowing quantity
+    for r in ("400", "800"):
+        assert main(["gaussian-check", "-r", r, "--truncation", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert f"r = {r}" in err and "cosh(2r)" in err
 
 
 def test_main_tolerance_breach_exits_three(capsys):

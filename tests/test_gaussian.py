@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from gaussify import (
+    DensityOperator,
     GaussianState,
     IdealVacuum,
     SymplecticMap,
@@ -13,6 +16,7 @@ from gaussify import (
     coherent_ket,
     condition_on,
     covariance_of_state,
+    displacement_unitary,
     eight_port_symplectic,
     fock_ket,
     homodyne_condition,
@@ -26,6 +30,7 @@ from gaussify import (
     vacuum_condition,
     williamson,
 )
+from gaussify.fock import destroy
 from gaussify.measurements import vacuum_effect
 
 RNG = np.random.default_rng(2024)
@@ -151,7 +156,7 @@ def test_vacuum_condition_preserves_purity():
 def test_homodyne_condition_removes_measured_quadrature_noise():
     gs = random_valid_state(2, displaced=False)
     out = homodyne_condition(gs, 0, "x")
-    out.validate(tol=1e-6)
+    out.validate()
     assert out.gamma.shape == (2, 2)
 
 
@@ -259,6 +264,81 @@ def test_to_fock_density_round_trips_moments():
         assert np.max(np.abs(back.d - gs.d)) < 5e-4
 
 
+# ---------------------------------------------------------------- full-space oracle
+
+
+def full_space_quadratures(dims):
+    """[x_1, p_1, x_2, p_2, ...] as full-space matrices: each single-mode
+    quadrature kron'd with identities on every other mode."""
+    ops = []
+    for m, d in enumerate(dims):
+        a = destroy(d)
+        x = (a + a.conj().T) / math.sqrt(2)
+        p = -1j * (a - a.conj().T) / math.sqrt(2)
+        left = np.eye(int(np.prod(dims[:m])), dtype=complex)
+        right = np.eye(int(np.prod(dims[m + 1 :])), dtype=complex)
+        ops.append(np.kron(np.kron(left, x), right))
+        ops.append(np.kron(np.kron(left, p), right))
+    return ops
+
+
+def full_space_covariance(rho: np.ndarray, dims):
+    """Moments from full-space products rho R_j and rho R_j R_k."""
+    R = full_space_quadratures(dims)
+    d = np.array([np.real(np.trace(rho @ r)) for r in R])
+    gamma = np.array(
+        [[2.0 * np.real(np.trace(rho @ Rj @ Rk)) - 2.0 * dj * dk for Rk, dk in zip(R, d)]
+         for Rj, dj in zip(R, d)]
+    )
+    return gamma, d
+
+
+def full_space_fock_density(gs: GaussianState, dims) -> np.ndarray:
+    """Gibbs state of H = sum_jk G_jk R_j R_k / 2 built from full-space
+    products on a basis padded by two levels per mode, then cut to dims."""
+    nu, S = williamson(gs.gamma)
+    nu = np.clip(nu, 1.0 + 1e-12, None)
+    beta = np.log((nu + 1.0) / (nu - 1.0))
+    S_inv = np.linalg.inv(S)
+    G = S_inv.T @ np.diag(np.repeat(beta, 2)) @ S_inv
+    padded = tuple(d + 2 for d in dims)
+    R = full_space_quadratures(padded)
+    H_pad = sum(0.5 * G[j, k] * (R[j] @ R[k]) for j in range(len(R)) for k in range(len(R)))
+    cut = tuple(slice(0, d) for d in dims)
+    size = int(np.prod(dims))
+    H = H_pad.reshape(padded + padded)[cut + cut].reshape(size, size)
+    w, V = np.linalg.eigh((H + H.conj().T) / 2)
+    rho = (V * np.exp(-(w - w.min()))) @ V.conj().T
+    rho /= np.real(np.trace(rho))
+    U = np.eye(1)
+    for m, d in enumerate(dims):
+        U = np.kron(U, displacement_unitary(d, (gs.d[2 * m] + 1j * gs.d[2 * m + 1]) / math.sqrt(2)))
+    return U @ rho @ U.conj().T
+
+
+@pytest.mark.parametrize("dims", [(6,), (4, 4), (3, 5), (2, 3, 2)])
+def test_covariance_matches_full_space_oracle(dims):
+    rng = np.random.default_rng(sum(dims) * 100 + len(dims))
+    size = int(np.prod(dims))
+    for _ in range(3):
+        A = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        rho = A @ A.conj().T
+        rho /= np.real(np.trace(rho))
+        got = covariance_of_state(DensityOperator(dims, rho))
+        gamma, d = full_space_covariance(rho, dims)
+        assert np.max(np.abs(got.gamma - gamma)) < 1e-13
+        assert np.max(np.abs(got.d - d)) < 1e-13
+
+
+@pytest.mark.parametrize("dims", [(10,), (5, 7)])
+def test_to_fock_density_matches_full_space_oracle(dims):
+    rng = np.random.default_rng(len(dims))
+    for displaced in (False, True):
+        gs = random_valid_state(len(dims), rng=rng, displaced=displaced)
+        got = to_fock_density(gs, dims).matrix
+        assert np.max(np.abs(got - full_space_fock_density(gs, dims))) < 1e-13
+
+
 def test_to_fock_density_rejects_unphysical_moments():
     with pytest.raises(ValueError):
         to_fock_density(GaussianState(0.5 * np.eye(2), np.zeros(2)), (10,))
@@ -295,3 +375,16 @@ def test_fock_pipeline_matches_covariance_prediction():
         got = covariance_of_state(out.conditional_state)
         assert np.max(np.abs(got.gamma - predicted.gamma)) < tol
         assert np.max(np.abs(got.d - predicted.d)) < tol
+
+
+@settings(max_examples=8, deadline=None)
+@given(r=st.floats(0.0, 0.6), d=st.integers(12, 16))
+def test_ideal_step_matches_covariance_prediction_over_r(r, d):
+    # the Fock step differs from the Gaussian prediction only through the
+    # truncated tail of the input, whose weight falls as tanh(r)^(2d)
+    predicted = ideal_step_covariance(two_mode_squeezed(r))
+    out = one_step(two_mode_squeezed_ket(r, d), IdealVacuum())
+    got = covariance_of_state(out.conditional_state)
+    bound = 1e3 * math.tanh(r) ** (2 * d) + 1e-13
+    assert np.max(np.abs(got.gamma - predicted.gamma)) < bound
+    assert np.max(np.abs(got.d - predicted.d)) < bound
