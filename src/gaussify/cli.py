@@ -24,18 +24,8 @@ from .gaussian import (
     two_mode_squeezed,
 )
 from .measures import LOG_BASE, WignerGrid, wigner, wigner_axes
-from .measurements import (
-    HomodyneFilter,
-    IdealVacuum,
-    OnOff,
-    RareOutcomeError,
-)
-from .protocol import (
-    LEAK_THRESHOLD,
-    ProtocolConfig,
-    one_step,
-    run,
-)
+from .measurements import HomodyneFilter, IdealVacuum, OnOff, RareOutcomeError
+from .protocol import LEAK_THRESHOLD, ProtocolConfig, one_step, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -49,20 +39,6 @@ CONVENTIONS = (
     ("bs_convention", "a+ -> (a+ + b+)/sqrt(2); b+ -> (-a+ + b+)/sqrt(2)"),
     ("log_base", str(LOG_BASE)),
     ("detector_policy", "success effect applied independently at each party's detector"),
-)
-
-CONFIG_KEYS = (
-    "epsilon",
-    "steps",
-    "truncation",
-    "max_truncation",
-    "detector",
-    "single_mode",
-    "sweep_eta",
-    "wigner",
-    "wigner_steps",
-    "jobs",
-    "out",
 )
 
 
@@ -125,43 +101,48 @@ def detector_label(detector) -> str:
     return f"homodyne:{_fmt(detector.radius)}"
 
 
+def _config_keys() -> dict:
+    """Every subcommand option's dest mapped to its default, read from the
+    parser by parsing each bare subcommand; ``config`` is not a key."""
+    keys = {}
+    for command in _build_parser().commands.values():
+        keys.update(vars(command.parse_args([])))
+    del keys["config"]
+    return keys
+
+
 def parse_config_file(path: str) -> dict:
-    """Flat key = value configuration; unknown keys are rejected."""
+    """Flat key = value configuration; unknown keys are rejected.
+
+    Keys are the option dests of any subcommand. A switch (an option whose
+    default is False) takes true/false or 1/0 and reads as a bool; every
+    other value is kept as its text, for the parser to convert.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    keys = _config_keys()
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if keys[key] is False:
+            if value.lower() not in ("true", "false", "1", "0"):
+                raise ConfigError(f"{path}:{lineno}: {key} must be true/false, got {value!r}")
+            value = value.lower() in ("true", "1")
+        values[key] = value
     return values
-
-
-def _typed(values: dict) -> dict:
-    """Config-file strings converted to the flags' types; ranges are checked
-    where the values are used (ProtocolConfig, the detector models, jobs)."""
-    out = {}
-    for key, convert in (("epsilon", float), ("steps", int), ("truncation", int),
-                         ("max_truncation", int), ("jobs", int)):
-        if key in values:
-            out[key] = _number(convert, values[key], key)
-    if "detector" in values:
-        out["detector"] = parse_detector(values["detector"])
-    if "single_mode" in values:
-        raw = str(values["single_mode"]).lower()
-        if raw not in ("true", "false", "1", "0"):
-            raise ConfigError(f"single_mode must be true/false, got {raw!r}")
-        out["single_mode"] = raw in ("true", "1")
-    for key in ("sweep_eta", "wigner", "wigner_steps", "out"):
-        if key in values:
-            out[key] = values[key]
-    return out
 
 
 def parse_sweep_spec(text: str) -> list[float]:
@@ -195,15 +176,6 @@ def parse_wigner_spec(text: str):
     return (xmin, xmax), (pmin, pmax), n
 
 
-def _header_lines(pairs) -> list[str]:
-    lines = ["# gaussify output"]
-    for key, value in pairs:
-        lines.append(f"# {key} = {value}")
-    for key, value in CONVENTIONS:
-        lines.append(f"# {key} = {value}")
-    return lines
-
-
 def _config_pairs(config: ProtocolConfig) -> list:
     return [
         ("epsilon", _fmt(config.epsilon)),
@@ -216,36 +188,30 @@ def _config_pairs(config: ProtocolConfig) -> list:
     ]
 
 
-def _emit(text: str, path):
+def _write_csv(pairs, lines, path) -> str:
+    """The output header (``pairs``, then the conventions) followed by
+    ``lines``, written to ``path`` (stdout when None) and returned."""
+    header = [f"# {key} = {value}" for key, value in (*pairs, *CONVENTIONS)]
+    text = "\n".join(["# gaussify output", *header, *lines]) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return text
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    return text
 
 
 def cmd_run(config: ProtocolConfig, out_path=None) -> str:
     """Run a trace and emit one CSV row per iteration record."""
-    trace = run(config)
-    lines = _header_lines(_config_pairs(config))
-    lines.append("step,p_success,p_cumulative,log_negativity,purity,gaussianity,leak")
-    for rec in trace.records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.step),
-                    _fmt(rec.p_success),
-                    _fmt(rec.p_cumulative),
-                    _fmt(rec.log_negativity),
-                    _fmt(rec.purity),
-                    _fmt(rec.gaussianity),
-                    _fmt(rec.leak),
-                ]
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    _emit(text, out_path)
-    return text
+    lines = ["step,p_success,p_cumulative,log_negativity,purity,gaussianity,leak"]
+    for rec in run(config).records:
+        cells = (rec.step, rec.p_success, rec.p_cumulative, rec.log_negativity,
+                 rec.purity, rec.gaussianity, rec.leak)
+        lines.append(",".join(map(_fmt, cells)))
+    return _write_csv(_config_pairs(config), lines, out_path)
 
 
 def cmd_sweep_eta(
@@ -277,20 +243,16 @@ def cmd_sweep_eta(
         ("long_steps", long_steps),
         ("initial_log_negativity", _fmt(reference)),
     ]
-    lines = _header_lines(pairs)
-    lines.append("eta,steps,log_negativity,initial_log_negativity")
+    lines = ["eta,steps,log_negativity,initial_log_negativity"]
     for eta, records in zip(etas, results):
         for steps in sorted({1, long_steps}):
             log_neg = records[steps].log_negativity
             lines.append(",".join([_fmt(float(eta)), str(steps), _fmt(log_neg), _fmt(reference)]))
-    text = "\n".join(lines) + "\n"
-    _emit(text, out_path)
-    return text
+    return _write_csv(pairs, lines, out_path)
 
 
 def write_wigner_grid(grid: WignerGrid, pairs, path) -> str:
-    lines = _header_lines(pairs)
-    lines += [
+    lines = [
         f"# xmin = {_fmt(float(grid.xs[0]))}",
         f"# xmax = {_fmt(float(grid.xs[-1]))}",
         f"# pmin = {_fmt(float(grid.ps[0]))}",
@@ -302,9 +264,7 @@ def write_wigner_grid(grid: WignerGrid, pairs, path) -> str:
     columns = (X.ravel().tolist(), P.ravel().tolist(), grid.values.ravel().tolist())
     # byte-identical to _fmt, nan included
     lines += ["%.12g,%.12g,%.12g" % row for row in zip(*columns)]
-    text = "\n".join(lines) + "\n"
-    _emit(text, path)
-    return text
+    return _write_csv(pairs, lines, path)
 
 
 def parse_wigner_grid(path) -> WignerGrid:
@@ -363,7 +323,14 @@ def cmd_gaussian_check(r: float, d: int, tol: float = 1e-4, out_path=None) -> st
     if d < 8:
         raise ConfigError("truncation must be >= 8 for the cross check")
     # the prediction first: a squeezing whose covariance overflows fails before the Fock work
-    predicted = ideal_step_covariance(two_mode_squeezed(r))
+    squeezed = two_mode_squeezed(r)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            predicted = ideal_step_covariance(squeezed)
+    except ValueError:  # for a finite r >= 0, only GaussianState's non-finite check raises it
+        raise OverflowError(
+            f"the one-step covariance prediction overflows a double at squeezing r = {r:g}"
+        ) from None
     psi = two_mode_squeezed_ket(r, d)
     outcome = one_step(psi, IdealVacuum())
     fock_moments = covariance_of_state(outcome.conditional_state)
@@ -382,13 +349,7 @@ def cmd_gaussian_check(r: float, d: int, tol: float = 1e-4, out_path=None) -> st
         ("max_displacement_deviation", _fmt(d_dev)),
         ("symplectic_identity_residual", _fmt(symp_residual)),
     ]
-    lines = _header_lines(pairs)
-    lines.append("quantity,value")
-    lines.append(f"max_gamma_deviation,{_fmt(gamma_dev)}")
-    lines.append(f"max_displacement_deviation,{_fmt(d_dev)}")
-    lines.append(f"symplectic_identity_residual,{_fmt(symp_residual)}")
-    text = "\n".join(lines) + "\n"
-    _emit(text, out_path)
+    text = _write_csv(pairs, ["quantity,value", *(f"{k},{v}" for k, v in pairs[3:])], out_path)
     # a NaN deviation fails every comparison, so it counts as a breach
     if not (gamma_dev <= tol and d_dev <= tol and symp_residual <= 1e-12):
         raise ToleranceBreach(
@@ -399,22 +360,23 @@ def cmd_gaussian_check(r: float, d: int, tol: float = 1e-4, out_path=None) -> st
 
 
 def _build_parser() -> _Parser:
+    """The one table of the CLI's options; config-file keys are their dests."""
     parser = _Parser(prog="gaussify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Defaults that differ by subcommand are applied in main: actions from
+    # parents= are shared, so a default set on one subcommand reaches all.
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key = value configuration file")
-    common.add_argument("--epsilon", type=float, help="input-state parameter (>= 0)")
-    common.add_argument("--steps", type=int, help="number of iteration steps (>= 0)")
-    common.add_argument("--truncation", type=int, help="per-mode Fock cutoff (>= 2)")
+    common.add_argument("--epsilon", type=float, default=0.95, help="input-state parameter (>= 0)")
+    common.add_argument("--steps", type=int,
+                        help="number of iteration steps (>= 0; run 0, sweep-eta 10)")
+    common.add_argument("--truncation", type=int,
+                        help="per-mode Fock cutoff (>= 2; gaussian-check 14)")
     common.add_argument("--max-truncation", type=int, help="adaptive-truncation cap")
-    common.add_argument(
-        "--detector", help="vacuum | onoff:<eta> | homodyne:<x>", default=None
-    )
-    common.add_argument(
-        "--single-mode", action="store_true", default=None, help="single-mode variant"
-    )
-    common.add_argument("--jobs", type=int, help="parallel sweep evaluations")
+    common.add_argument("--detector", default="vacuum", help="vacuum | onoff:<eta> | homodyne:<x>")
+    common.add_argument("--single-mode", action="store_true", help="single-mode variant")
+    common.add_argument("--jobs", type=int, default=1, help="parallel sweep evaluations")
     common.add_argument("--out", help="output path (default: stdout)")
 
     sub.add_parser("run", parents=[common], help="iterate the protocol, emit a trace CSV")
@@ -428,91 +390,73 @@ def _build_parser() -> _Parser:
 
     wig = sub.add_parser("wigner", parents=[common], help="export Wigner grids per step")
     wig.add_argument("--wigner", help="grid as xmin:xmax:pmin:pmax:n")
-    wig.add_argument("--wigner-steps", help="comma list of steps (default 0,1,2)")
+    wig.add_argument("--wigner-steps", default="0,1,2", help="comma list of steps")
 
     check = sub.add_parser(
         "gaussian-check", parents=[common], help="cross-validate against covariance predictions"
     )
     check.add_argument("-r", "--squeezing", type=float, default=0.4)
     check.add_argument("--tol", type=float, default=1e-4)
+    parser.commands = sub.choices
     return parser
 
 
-def _merge_config(args) -> dict:
-    values = {}
-    if args.config:
-        values.update(_typed(parse_config_file(args.config)))
-    overrides = {
-        "epsilon": args.epsilon,
-        "steps": args.steps,
-        "truncation": args.truncation,
-        "max_truncation": args.max_truncation,
-        "single_mode": args.single_mode,
-        "jobs": args.jobs,
-        "out": args.out,
-    }
-    if args.detector is not None:
-        overrides["detector"] = parse_detector(args.detector)
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-    if getattr(args, "sweep_eta", None) is not None:
-        values["sweep_eta"] = args.sweep_eta
-    if getattr(args, "wigner", None) is not None:
-        values["wigner"] = args.wigner
-    if getattr(args, "wigner_steps", None) is not None:
-        values["wigner_steps"] = args.wigner_steps
-    if values.get("jobs", 1) < 1:
-        raise ConfigError("jobs must be >= 1")
-    return values
+def _parse_args(parser: _Parser, argv: list[str]):
+    """Parse argv. A --config file's key = value lines are the flags they
+    spell, --key=value with underscores as dashes (a true switch is the bare
+    flag, a false one none); they go right after the subcommand, so the
+    explicit flags after them win."""
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    flags = ["--" + key.replace("_", "-") + ("" if value is True else f"={value}")
+             for key, value in parse_config_file(args.config).items() if value is not False]
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
 
 
-def _protocol_config(values: dict) -> ProtocolConfig:
+def _protocol_config(args) -> ProtocolConfig:
     return _build(
         ProtocolConfig,
-        steps=values.get("steps", 0),
-        epsilon=values.get("epsilon", 0.95),
-        mode_count=1 if values.get("single_mode") else 2,
-        truncation=values.get("truncation"),
-        max_truncation=values.get("max_truncation"),
-        detector=values.get("detector", IdealVacuum()),
+        steps=0 if args.steps is None else args.steps,
+        epsilon=args.epsilon,
+        mode_count=1 if args.single_mode else 2,
+        truncation=args.truncation,
+        max_truncation=args.max_truncation,
+        detector=parse_detector(args.detector),
     )
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        values = _merge_config(args)
-        config = _protocol_config(values)
-        out = values.get("out")
+        args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
+        if args.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
+        # the Wigner export always runs the single-mode variant
+        args.single_mode = args.single_mode or args.command == "wigner"
+        config = _protocol_config(args)
         if args.command == "run":
-            cmd_run(config, out)
+            cmd_run(config, args.out)
         elif args.command == "sweep-eta":
-            spec = values.get("sweep_eta")
-            if spec is None:
+            if args.sweep_eta is None:
                 raise ConfigError("sweep-eta requires --sweep-eta")
-            etas = parse_sweep_spec(spec)
-            long_steps = values.get("steps", 10)
-            cmd_sweep_eta(config, etas, long_steps, values.get("jobs", 1), out)
+            etas = parse_sweep_spec(args.sweep_eta)
+            long_steps = 10 if args.steps is None else args.steps
+            cmd_sweep_eta(config, etas, long_steps, args.jobs, args.out)
         elif args.command == "wigner":
-            spec = values.get("wigner")
-            if spec is None:
+            if args.wigner is None:
                 raise ConfigError("wigner requires --wigner xmin:xmax:pmin:pmax:n")
-            grid_spec = parse_wigner_spec(spec)
-            raw_steps = values.get("wigner_steps", "0,1,2")
+            grid_spec = parse_wigner_spec(args.wigner)
             step_list = sorted(
-                {_number(int, v, "wigner step") for v in str(raw_steps).split(",") if v.strip()}
+                {_number(int, v, "wigner step") for v in args.wigner_steps.split(",") if v.strip()}
             )
             if not step_list or min(step_list) < 0:
-                raise ConfigError(f"bad step list {raw_steps!r}")
-            if not values.get("single_mode"):
-                config = _protocol_config({**values, "single_mode": True})
-            cmd_wigner(config, step_list, grid_spec, out or "wigner")
+                raise ConfigError(f"bad step list {args.wigner_steps!r}")
+            cmd_wigner(config, step_list, grid_spec, args.out or "wigner")
         elif args.command == "gaussian-check":
-            cmd_gaussian_check(
-                args.squeezing, values.get("truncation", 14), args.tol, out
-            )
+            truncation = 14 if args.truncation is None else args.truncation
+            cmd_gaussian_check(args.squeezing, truncation, args.tol, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

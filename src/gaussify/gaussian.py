@@ -53,10 +53,12 @@ class GaussianState:
             raise ValueError(f"covariance must be square of even size, got {self.gamma.shape}")
         if self.d.size != m:
             raise ValueError("displacement length does not match covariance size")
+        if not (np.isfinite(self.gamma).all() and np.isfinite(self.d).all()):
+            raise ValueError("covariance and displacement must be finite")
         dev = np.max(np.abs(self.gamma - self.gamma.T))
         if dev > SYMMETRY_TOL * max(1.0, np.max(np.abs(self.gamma))):
             raise ValueError(f"covariance is not symmetric (deviation {dev:.3e})")
-        self.gamma = (self.gamma + self.gamma.T) / 2
+        self.gamma = self.gamma / 2 + self.gamma.T / 2  # the sum may overflow, the halves not
 
     @property
     def n_modes(self) -> int:

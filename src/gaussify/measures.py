@@ -131,9 +131,8 @@ def gaussianity_distance(state) -> float:
     """1 - fidelity to the Gaussian state with identical first and second moments.
 
     Zero (up to truncation) exactly on Gaussian states; the reference Gaussian
-    is built on the same truncated basis.
+    is built on the same truncated basis. A pure state is passed on as it is,
+    so its fidelity is the exact <psi|sigma|psi>.
     """
-    rho = _as_density(state)
-    gs = covariance_of_state(rho)
-    reference = to_fock_density(gs, rho.dims)
-    return max(0.0, 1.0 - fidelity(rho, reference))
+    reference = to_fock_density(covariance_of_state(state), state.dims)
+    return max(0.0, 1.0 - fidelity(state, reference))

@@ -10,6 +10,7 @@ import pytest
 from gaussify import IdealVacuum, OnOff, HomodyneFilter, ProtocolConfig, run
 from gaussify.cli import (
     ConfigError,
+    _config_keys,
     cmd_gaussian_check,
     cmd_run,
     cmd_sweep_eta,
@@ -257,6 +258,23 @@ def test_main_config_errors_exit_one(tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
         assert main(["run", "--config", str(path)]) == 1
+    capsys.readouterr()
+    # unreadable config files and unwritable outputs: one line naming the path
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"steps = \xff\xfe\n")
+    missing = str(tmp_path / "missing.cfg")
+    for argv, path in (
+        (["run", "--config", missing], missing),
+        (["run", "--config", str(tmp_path)], str(tmp_path)),
+        (["run", "--config", str(binary)], str(binary)),
+        (["run", "--steps", "1", "--out", str(tmp_path / "no" / "x.csv")],
+         str(tmp_path / "no" / "x.csv")),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("configuration error:") and path in line
 
 
 def test_main_numerical_failure_exits_two(capsys):
@@ -274,11 +292,94 @@ def test_main_numerical_failure_exits_two(capsys):
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert f"r = {r}" in err and "cosh(2r)" in err
+    # cosh(2r) fits but the Schur complements of the prediction overflow: the
+    # non-finite prediction is rejected, not compared against (RuntimeWarnings
+    # would fail the suite)
+    assert main(["gaussian-check", "-r", "354", "--truncation", "8"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("numerical failure:") and "r = 354" in line
 
 
 def test_main_tolerance_breach_exits_three(capsys):
     assert main(["gaussian-check", "-r", "0.4", "--truncation", "10",
                  "--tol", "1e-14"]) == 3
+    capsys.readouterr()
+    # cosh(710) fits a double, the covariance halves are summed without
+    # overflow, and a two-mode squeezed state is a fixed point of the ideal
+    # step, so the prediction is finite and right: cutoff 8 is what fails
+    assert main(["gaussian-check", "-r", "355", "--truncation", "8"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("tolerance breach:") and "gamma 1.117e+308" in line
+
+
+# one cheap command per config key, and the key's value; "{tmp}" is the test's
+# directory. A key without an entry here fails the parametrized test below.
+CONFIG_CASES = {
+    "epsilon": (["run", "--steps", "1", "--truncation", "4"], "0.9"),
+    "steps": (["run", "--truncation", "4"], "1"),
+    "truncation": (["run", "--steps", "1"], "4"),
+    "max_truncation": (["run", "--steps", "1", "--truncation", "4"], "5"),
+    "detector": (["run", "--steps", "1", "--truncation", "4"], "onoff:0.6"),
+    "single_mode": (["run", "--steps", "1", "--truncation", "4"], "true"),
+    "jobs": (["sweep-eta", "--sweep-eta", "0.5,1", "--steps", "1", "--truncation", "4"], "2"),
+    "out": (["run", "--steps", "1", "--truncation", "4"], "{tmp}/o.csv"),
+    "sweep_eta": (["sweep-eta", "--steps", "1", "--truncation", "4"], "0.5,1"),
+    "wigner": (["wigner", "--steps", "1", "--truncation", "4", "--out", "{tmp}/w"],
+               "-2:2:-2:2:5"),
+    "wigner_steps": (["wigner", "--truncation", "4", "--wigner=-2:2:-2:2:5", "--out", "{tmp}/w"],
+                     "1"),
+    "squeezing": (["gaussian-check", "--truncation", "8"], "0.3"),
+    "tol": (["gaussian-check", "-r", "0.3", "--truncation", "8"], "1e-3"),
+}
+
+
+def _cli_output(argv, tmp_path, capsys):
+    """Exit code, stdout and every file written, the files then removed."""
+    code = main(argv)
+    files = {}
+    for path in sorted(tmp_path.glob("[ow]*.csv")):
+        files[path.name] = path.read_text()
+        path.unlink()
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("key", sorted(_config_keys()))
+def test_config_key_is_the_flag_it_spells(key, tmp_path, capsys):
+    argv, value = CONFIG_CASES[key]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    value = value.format(tmp=tmp_path)
+    flag = "--" + key.replace("_", "-")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    from_file = _cli_output([*argv, "--config", str(cfg)], tmp_path, capsys)
+    from_flag = _cli_output([*argv, flag if value == "true" else f"{flag}={value}"],
+                            tmp_path, capsys)
+    assert from_file == from_flag
+    assert from_file[0] == 0 and (from_file[1] or from_file[2])
+
+
+def test_config_keys_come_from_the_parser():
+    assert set(_config_keys()) == set(CONFIG_CASES)
+    assert "config" not in _config_keys() and "help" not in _config_keys()
+
+
+def test_config_file_key_of_another_command_is_rejected(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text("sweep_eta = 0.5\n")
+    assert main(["run", "--config", str(path)]) == 1
+    assert "--sweep-eta" in capsys.readouterr().err
+    # a malformed value gets the flag's own message
+    path.write_text("steps = abc\n")
+    assert main(["run", "--config", str(path)]) == 1
+    assert "argument --steps: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_config_file_false_switch_adds_no_flag(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text("single_mode = 0\n")
+    argv = ["run", "--steps", "1", "--truncation", "4"]
+    assert _cli_output([*argv, "--config", str(path)], tmp_path, capsys) == _cli_output(
+        argv, tmp_path, capsys)
 
 
 def test_main_flags_override_config_file(tmp_path, capsys):

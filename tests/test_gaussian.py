@@ -68,6 +68,12 @@ def test_gaussian_state_validation():
     GaussianState(np.eye(2), np.zeros(2)).validate()
     with pytest.raises(ValueError):
         GaussianState(0.5 * np.eye(2), np.zeros(2)).validate()
+    for gamma, d in ((np.diag([np.inf, 1.0]), np.zeros(2)), (np.eye(2), [np.nan, 0.0])):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(gamma, d)
+    # symmetrising sums halves, so entries near the largest double stay finite
+    big = np.finfo(float).max
+    assert GaussianState(big * np.eye(2), np.zeros(2)).gamma[0, 0] == big
 
 
 def test_symplectic_map_check():

@@ -5,6 +5,7 @@ import pytest
 
 from gaussify import (
     DensityOperator,
+    covariance_of_state,
     IdealVacuum,
     OnOff,
     ProtocolConfig,
@@ -21,6 +22,7 @@ from gaussify import (
     run,
     squeezer_unitary,
     tensor,
+    to_fock_density,
     two_mode_squeezed_ket,
     vacuum,
     wigner,
@@ -232,6 +234,24 @@ def test_single_photon_distance_matches_thermal_oracle():
     # the moment-matched Gaussian is the mean-occupation-one thermal state
     p1 = 0.25 / (1.0 - 2.0**-d)
     assert abs(dist - (1.0 - p1)) < 1e-10
+
+
+def test_pure_state_distance_is_one_minus_the_exact_overlap():
+    """For a pure iterate the distance is 1 - <psi|sigma|psi>, sigma being the
+    moment-matched Gaussian, with no square root of sigma's rounding noise."""
+    from mpmath import mp
+
+    psi = run(ProtocolConfig(steps=2, epsilon=0.95, truncation=6)).records[2].state
+    assert isinstance(psi, PureState) and psi.n_modes == 2
+    sigma = to_fock_density(covariance_of_state(psi), psi.dims).matrix
+    amps = psi.amplitudes
+    with mp.workdps(40):
+        overlap = mp.fsum(
+            mp.mpc(amps[i]).conjugate() * mp.mpc(sigma[i, j]) * mp.mpc(amps[j])
+            for i in range(amps.size) for j in range(amps.size)
+        )
+        want = float(1 - overlap.real)
+    assert abs(gaussianity_distance(psi) - want) <= 1e-12 * want
 
 
 def test_distillation_reduces_two_mode_gaussianity_distance():
