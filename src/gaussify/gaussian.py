@@ -306,32 +306,16 @@ def to_fock_density(gs: GaussianState, dims) -> DensityOperator:
     return out
 
 
-def permute_modes(gs: GaussianState, order) -> GaussianState:
-    """Reorder modes of a Gaussian state; order[i] is the old index of new mode i."""
-    order = [int(m) for m in order]
-    if sorted(order) != list(range(gs.n_modes)):
-        raise ValueError(f"order {order} is not a permutation of {gs.n_modes} modes")
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in order])
-    return GaussianState(gs.gamma[np.ix_(idx, idx)], gs.d[idx])
-
-
 def ideal_step_covariance(gs: GaussianState) -> GaussianState:
     """Covariance prediction for one vacuum-conditioned distillation step on a
     two-mode Gaussian input: duplicate, mix each party's pair on a balanced
-    beam splitter, vacuum-project the second output of each pair."""
+    beam splitter, vacuum-project the second output of each pair.
+
+    Closed form: each kept mode is (copy 1 - copy 2)/sqrt(2) of two identical,
+    independent copies, so the kept pair has the input covariance, zero mean,
+    and no correlation with the measured pair (copy 1 + copy 2)/sqrt(2), which
+    the vacuum projection therefore leaves untouched.
+    """
     if gs.n_modes != 2:
         raise ValueError("expected a two-mode Gaussian state")
-    gamma = np.zeros((8, 8))
-    gamma[:4, :4] = gs.gamma
-    gamma[4:, 4:] = gs.gamma
-    d = np.concatenate([gs.d, gs.d])
-    both = GaussianState(gamma, d)  # modes (A1, B1, A2, B2)
-    both = permute_modes(both, (0, 2, 1, 3))  # -> (A1, A2, B1, B2)
-    bs = beamsplitter_symplectic(0.5).S
-    S = np.eye(8)
-    S[0:4, 0:4] = bs
-    S[4:8, 4:8] = bs
-    both = apply_symplectic(both, S)
-    out = vacuum_condition(both, 3)  # B2
-    out = vacuum_condition(out, 1)  # A2
-    return out
+    return GaussianState(gs.gamma, np.zeros(4))

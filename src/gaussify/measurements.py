@@ -13,18 +13,14 @@ from typing import Union
 import numpy as np
 from scipy.special import gammainc
 
-from .fock import (
-    DensityOperator,
-    PureState,
-    apply_unitary,
-    coherent_ket,
-    partial_trace,
-)
+from .fock import DensityOperator, PureState, coherent_ket
 
 # Below this conditioning probability the post-measurement state is declared
 # undefined rather than amplified numerical noise.
 P_FLOOR = 1e-12
 
+# Effect eigenvalues at or below this count as zero, in condition_on and in
+# the step kernel alike, so a rank-one effect keeps pure states pure.
 EFFECT_TOL = 1e-12
 
 
@@ -149,12 +145,36 @@ def _effect_spectrum(effect: np.ndarray):
     return np.clip(evals, 0.0, None), evecs
 
 
+def _outcome(dims, unnormalized: np.ndarray, leak: float = 0.0) -> MeasurementOutcome:
+    """The outcome of an unnormalized conditional state on the given dims.
+
+    A ket (1-D) stays pure and its probability is its squared norm; of a
+    matrix (2-D) the probability is its trace and only the Hermitian part is
+    kept. Below P_FLOOR the outcome is undefined and RareOutcomeError is raised.
+    """
+    pure = unnormalized.ndim == 1
+    p = float(np.sum(np.abs(unnormalized) ** 2) if pure else np.real(np.trace(unnormalized)))
+    if p < P_FLOOR:
+        raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")
+    if pure:
+        return MeasurementOutcome(PureState(dims, unnormalized).normalized(), p, leak)
+    rho = unnormalized / p
+    return MeasurementOutcome(DensityOperator(dims, (rho + rho.conj().T) / 2), p, leak)
+
+
+def _kraus_sum(kraus: np.ndarray) -> np.ndarray:
+    """Unnormalized outcome of the Kraus columns kraus[kept, k] of a pure input:
+    the ket itself when there is one column, else K K^dagger."""
+    return kraus[:, 0] if kraus.shape[1] == 1 else kraus @ kraus.conj().T
+
+
 def condition_on(state, effect: np.ndarray, mode: int) -> MeasurementOutcome:
     """Condition a state on a single-mode POVM element and discard the measured mode.
 
-    probability = tr[E rho]; the conditional state is the partial trace of
-    sqrt(E) rho sqrt(E) over the measured mode, renormalized. A pure input
-    stays pure exactly when the effect has rank one.
+    Each eigenpair (lambda_k, u_k) of E above EFFECT_TOL gives a Kraus row
+    sqrt(lambda_k) <u_k| on the measured mode; the conditional state is
+    sum_k K_k rho K_k^dagger renormalized by its trace, the probability tr[E rho].
+    A pure input stays pure exactly when the effect has rank one.
     """
     mode = int(mode)
     dims = state.dims.dims
@@ -166,41 +186,15 @@ def condition_on(state, effect: np.ndarray, mode: int) -> MeasurementOutcome:
     if effect.shape != (dims[mode], dims[mode]):
         raise ValueError("effect does not match the mode dimension")
     evals, evecs = _effect_spectrum(effect)
-    rank = int(np.sum(evals > EFFECT_TOL))
-    keep = [m for m in range(len(dims)) if m != mode]
-
+    support = evals > EFFECT_TOL
+    rows = (evecs.conj() * np.sqrt(evals))[:, support]  # rows[m, k] = sqrt(lambda_k) <u_k|m>
+    n = len(dims)
+    kept = state.dims.restricted([m for m in range(n) if m != mode])
     if isinstance(state, PureState):
-        if rank == 1:
-            i = int(np.argmax(evals))
-            lam, u = evals[i], evecs[:, i]
-            # <u|psi> contracted over the measured mode
-            reduced = np.tensordot(state.tensor_view(), u.conj(), axes=([mode], [0]))
-            p = float(lam * np.sum(np.abs(reduced) ** 2))
-            if p < P_FLOOR:
-                raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")
-            out = PureState(state.dims.restricted(keep), reduced.reshape(-1)).normalized()
-            return MeasurementOutcome(out, p)
-        sqrt_e = (evecs * np.sqrt(evals)) @ evecs.conj().T
-        phi = apply_unitary(state, sqrt_e, (mode,))
-        p = float(phi.norm() ** 2)
-        if p < P_FLOOR:
-            raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")
-        m = np.moveaxis(phi.tensor_view(), mode, -1)
-        m = m.reshape(-1, dims[mode])
-        rho_keep = (m @ m.conj().T) / p
-        return MeasurementOutcome(
-            DensityOperator(state.dims.restricted(keep), rho_keep), p
-        )
-
+        ket = np.moveaxis(state.tensor_view(), mode, -1).reshape(kept.size, -1)
+        return _outcome(kept, _kraus_sum(ket @ rows))
     if isinstance(state, DensityOperator):
-        sqrt_e = (evecs * np.sqrt(evals)) @ evecs.conj().T
-        conditioned = apply_unitary(state, sqrt_e, (mode,))
-        p = conditioned.trace()
-        if p < P_FLOOR:
-            raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")
-        reduced = partial_trace(conditioned, keep)
-        return MeasurementOutcome(
-            DensityOperator(reduced.dims, reduced.matrix / p), p
-        )
-
+        r = np.moveaxis(state.tensor_view(), (mode, n + mode), (n - 1, -1))
+        r = r.reshape(kept.size, dims[mode], kept.size, dims[mode])
+        return _outcome(kept, np.einsum("imjn,mk,nk->ij", r, rows, rows.conj(), optimize=True))
     raise TypeError(f"unsupported state type {type(state)!r}")

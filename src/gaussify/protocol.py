@@ -26,23 +26,20 @@ from .fock import (
     DensityOperator,
     FockDims,
     PureState,
-    apply_unitary,
     beamsplitter_unitary,
     pad,
-    tensor,
     two_mode_squeezed_ket,
-    vacuum,
 )
 from .measurements import (
+    EFFECT_TOL,
     DetectorModel,
     HomodyneFilter,
     IdealVacuum,
     MeasurementOutcome,
-    P_FLOOR,
     RareOutcomeError,
-    condition_on,
+    _kraus_sum,
+    _outcome,
     success_effect,
-    vacuum_effect,
 )
 
 DEFAULT_TRUNCATION = {1: 10, 2: 6}
@@ -123,29 +120,27 @@ class DistillationTrace:
         return self.records[-1].state
 
 
-def prepare_epsilon_state(epsilon: float, d: int) -> PureState:
-    """Two-mode input family (|0,0> + epsilon |1,1>)/sqrt(1 + epsilon^2)."""
+def _epsilon_state(epsilon: float, d: int, n_modes: int) -> PureState:
+    """(|0...0> + epsilon |1...1>)/sqrt(1 + epsilon^2) on n_modes modes of cutoff d."""
     if not 0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and >= 0")
     if d < 2:
         raise ValueError("truncation must be >= 2")
-    fd = FockDims((d, d))
+    fd = FockDims((d,) * n_modes)
     amps = np.zeros(fd.size, dtype=complex)
-    amps[fd.flat_index((0, 0))] = 1.0
-    amps[fd.flat_index((1, 1))] = epsilon
+    amps[0] = 1.0
+    amps[fd.flat_index((1,) * n_modes)] = epsilon
     return PureState(fd, amps / math.sqrt(1.0 + epsilon**2))
+
+
+def prepare_epsilon_state(epsilon: float, d: int) -> PureState:
+    """Two-mode input family (|0,0> + epsilon |1,1>)/sqrt(1 + epsilon^2)."""
+    return _epsilon_state(epsilon, d, 2)
 
 
 def prepare_single_mode_state(epsilon: float, d: int) -> PureState:
     """Single-mode input family (|0> + epsilon |1>)/sqrt(1 + epsilon^2)."""
-    if not 0 <= epsilon < math.inf:
-        raise ValueError("epsilon must be finite and >= 0")
-    if d < 2:
-        raise ValueError("truncation must be >= 2")
-    amps = np.zeros(d, dtype=complex)
-    amps[0] = 1.0
-    amps[1] = epsilon
-    return PureState(FockDims((d,)), amps / math.sqrt(1.0 + epsilon**2))
+    return _epsilon_state(epsilon, d, 1)
 
 
 def prepare_photon_subtracted(r: float, t: float, d: int) -> MeasurementOutcome:
@@ -159,25 +154,19 @@ def prepare_photon_subtracted(r: float, t: float, d: int) -> MeasurementOutcome:
         raise ValueError("source squeezing r must be positive")
     if not 0.0 < t < 1.0:
         raise ValueError("tap transmissivity must lie in (0, 1)")
-    source = two_mode_squeezed_ket(r, d)
-    full = tensor(source, vacuum(d), vacuum(d))  # modes (A, B, tapA, tapB)
-    U = beamsplitter_unitary(d, transmissivity=t)
-    full = apply_unitary(full, U, (0, 2))
-    full = apply_unitary(full, U, (1, 3))
-    click = np.eye(d, dtype=complex) - vacuum_effect(d)
-    first = condition_on(full, click, 3)
-    second = condition_on(first.conditional_state, click, 2)
-    joint = first.probability * second.probability
-    if joint < P_FLOOR:
-        raise RareOutcomeError(f"joint click probability {joint:.3e} below {P_FLOOR}")
-    return MeasurementOutcome(second.conditional_state, joint)
+    psi = two_mode_squeezed_ket(r, d).amplitudes.reshape(d, d)
+    # tap splitter v[a, m, i]: kept a, tap m >= 1 (a click) <- source i, tap vacuum
+    v = beamsplitter_unitary(d, transmissivity=t).reshape(d, d, d, d)[:, 1:, :, 0]
+    kraus = np.einsum("ami,ij,bnj->abmn", v, psi, v, optimize=True).reshape(d * d, -1)
+    return _outcome(FockDims((d, d)), _kraus_sum(kraus))
 
 
 def _party(detector: DetectorModel, d: int):
     """One party's beam splitter u[a, m, i, p] (kept a, measured m <- copy-1 i,
-    copy-2 p) and the diagonal e of its detector's success effect."""
+    copy-2 p) and the diagonal e of its detector's success effect, with
+    entries at or below EFFECT_TOL set to zero."""
     e = np.real(np.diag(success_effect(detector, d)))
-    return beamsplitter_unitary(d).reshape(d, d, d, d), e
+    return beamsplitter_unitary(d).reshape(d, d, d, d), np.where(e > EFFECT_TOL, e, 0.0)
 
 
 # Party B of the single-mode variant: cutoff 1, beam splitter [[1]] and effect
@@ -190,8 +179,8 @@ def _pure_contraction(psi: np.ndarray, party_a, party_b):
 
     Returns kraus[kept (a, b), outcome (m, n)], the unnormalized kept ket of
     each measured outcome pair weighted by sqrt(e_A[m] e_B[n]), and the trace
-    of the state after mixing. When both effects have rank one only that
-    outcome pair is kept, so the output stays pure.
+    of the state after mixing. Outcomes of zero weight are dropped, so when
+    both effects have rank one the output stays pure.
     """
     (ua, ea), (ub, eb) = party_a, party_b
     # phi[a, m, b, n]: (A kept, A measured, B kept, B measured)
@@ -199,10 +188,8 @@ def _pure_contraction(psi: np.ndarray, party_a, party_b):
     y = np.einsum("ampj,pq->amjq", x, psi, optimize=True)
     phi = np.einsum("amjq,bnjq->ambn", y, ub, optimize=True)
     trace_after = float(np.sum(np.abs(phi) ** 2))
-    weighted = phi * np.sqrt(ea)[:, None, None] * np.sqrt(eb)
-    support = [np.flatnonzero(e > 1e-14) for e in (ea, eb)]
-    if all(z.size == 1 for z in support):
-        weighted = weighted[:, support[0]][..., support[1]]
+    sa, sb = np.flatnonzero(ea), np.flatnonzero(eb)
+    weighted = phi[:, sa][..., sb] * np.sqrt(ea[sa])[:, None, None] * np.sqrt(eb[sb])
     return weighted.transpose(0, 2, 1, 3).reshape(psi.size, -1), trace_after
 
 
@@ -236,22 +223,13 @@ def _step(state, party_a, party_b) -> MeasurementOutcome:
     shape = (party_a[1].size, party_b[1].size)
     if isinstance(state, PureState):
         kraus, trace_after = _pure_contraction(state.amplitudes.reshape(shape), party_a, party_b)
-        p = float(np.sum(np.abs(kraus) ** 2))
+        out = _kraus_sum(kraus)
     elif isinstance(state, DensityOperator):
         r = state.matrix.reshape(shape + shape)
         out, trace_after = _density_contraction(r, party_a, party_b)
-        p = float(np.real(np.trace(out)))
     else:
         raise TypeError(f"unsupported state type {type(state)!r}")
-    if p < P_FLOOR:
-        raise RareOutcomeError(f"outcome probability {p:.3e} below {P_FLOOR}")
-    leak = max(0.0, 1.0 - trace_after)
-    if isinstance(state, PureState):
-        if kraus.shape[1] == 1:
-            return MeasurementOutcome(PureState(state.dims, kraus[:, 0]).normalized(), p, leak)
-        out = kraus @ kraus.conj().T
-    rho = out / p
-    return MeasurementOutcome(DensityOperator(state.dims, (rho + rho.conj().T) / 2), p, leak)
+    return _outcome(state.dims, out, max(0.0, 1.0 - trace_after))
 
 
 def one_step(state, detector: DetectorModel) -> MeasurementOutcome:
@@ -318,10 +296,8 @@ def run(config: ProtocolConfig) -> DistillationTrace:
         state = config.initial_state
         if state.dims.n_modes != config.mode_count:
             raise ValueError("initial state mode count does not match the configuration")
-    elif config.mode_count == 2:
-        state = prepare_epsilon_state(config.epsilon, config.truncation)
     else:
-        state = prepare_single_mode_state(config.epsilon, config.truncation)
+        state = _epsilon_state(config.epsilon, config.truncation, config.mode_count)
 
     records = [IterationRecord(0, 1.0, 1.0, 0.0, state)]
     cumulative = 1.0

@@ -287,29 +287,24 @@ def test_main_numerical_failure_exits_two(capsys):
     assert "numerical failure" in capsys.readouterr().err
     # cosh(2r) of the covariance prediction overflows: a numerical failure, not a
     # traceback, and the message names the squeezing and the overflowing quantity
-    for r in ("400", "800"):
+    for r in ("356", "400", "800"):
         assert main(["gaussian-check", "-r", r, "--truncation", "8"]) == 2
-        err = capsys.readouterr().err
-        assert "numerical failure" in err
-        assert f"r = {r}" in err and "cosh(2r)" in err
-    # cosh(2r) fits but the Schur complements of the prediction overflow: the
-    # non-finite prediction is rejected, not compared against (RuntimeWarnings
-    # would fail the suite)
-    assert main(["gaussian-check", "-r", "354", "--truncation", "8"]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("numerical failure:") and "r = 354" in line
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure:")
+        assert f"r = {r}" in line and "cosh(2r)" in line
 
 
 def test_main_tolerance_breach_exits_three(capsys):
     assert main(["gaussian-check", "-r", "0.4", "--truncation", "10",
                  "--tol", "1e-14"]) == 3
     capsys.readouterr()
-    # cosh(710) fits a double, the covariance halves are summed without
-    # overflow, and a two-mode squeezed state is a fixed point of the ideal
-    # step, so the prediction is finite and right: cutoff 8 is what fails
-    assert main(["gaussian-check", "-r", "355", "--truncation", "8"]) == 3
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("tolerance breach:") and "gamma 1.117e+308" in line
+    # up to r = 355 cosh(2r) fits a double, and the closed-form prediction is
+    # the input covariance (a two-mode squeezed state is a fixed point of the
+    # ideal step), so it is finite and right: cutoff 8 is what fails
+    for r, gamma in (("353", "2.046e+306"), ("354", "1.512e+307"), ("355", "1.117e+308")):
+        assert main(["gaussian-check", "-r", r, "--truncation", "8"]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("tolerance breach:") and f"gamma {gamma}," in line
 
 
 # one cheap command per config key, and the key's value; "{tmp}" is the test's

@@ -374,6 +374,36 @@ def test_eight_port_scheme_equals_direct_vacuum_conditioning():
     assert worst_d < 1e-10
 
 
+def _chained_step_covariance(gs):
+    """One ideal step through the symplectic chain: both copies, each party's
+    balanced splitter, then vacuum projection of B2 and of A2."""
+    gamma = np.zeros((8, 8))
+    gamma[:4, :4] = gamma[4:, 4:] = gs.gamma
+    order = [0, 1, 4, 5, 2, 3, 6, 7]  # modes (A1, B1, A2, B2) -> (A1, A2, B1, B2)
+    both = GaussianState(gamma[np.ix_(order, order)], np.concatenate([gs.d, gs.d])[order])
+    S = np.eye(8)
+    S[0:4, 0:4] = S[4:8, 4:8] = beamsplitter_symplectic(0.5).S
+    return vacuum_condition(vacuum_condition(apply_symplectic(both, S), 3), 1)
+
+
+def test_ideal_step_covariance_closed_form_matches_the_symplectic_chain():
+    # the kept pair is the difference of two identical independent copies: it
+    # keeps gamma, has zero mean and is uncorrelated with the measured pair
+    rng = np.random.default_rng(7)
+    omega = symplectic_form(2)
+    for _ in range(200):
+        A = rng.normal(size=(4, 4), scale=0.4)
+        S = expm(omega @ (A + A.T))
+        gamma = S @ np.diag(np.repeat(rng.uniform(1.0, 3.0, size=2), 2)) @ S.T
+        gs = GaussianState(gamma, rng.normal(size=4))
+        closed, chain = ideal_step_covariance(gs), _chained_step_covariance(gs)
+        assert np.array_equal(closed.gamma, gs.gamma) and not closed.d.any()
+        assert np.max(np.abs(closed.gamma - chain.gamma)) <= 1e-15 * np.max(np.abs(gamma))
+        assert np.max(np.abs(chain.d)) <= 1e-14 * np.max(np.abs(gs.d))
+    with pytest.raises(ValueError):
+        ideal_step_covariance(GaussianState(np.eye(2), np.zeros(2)))
+
+
 def test_fock_pipeline_matches_covariance_prediction():
     predicted = ideal_step_covariance(two_mode_squeezed(0.4))
     for d, tol in ((12, 1e-3), (14, 1e-4)):

@@ -11,12 +11,14 @@ from gaussify import (
     OnOff,
     PureState,
     RareOutcomeError,
+    apply_unitary,
     coherent_ket,
     coherent_projector,
     condition_on,
     filter_operator,
     fock_ket,
     no_click_effect,
+    partial_trace,
     prepare_epsilon_state,
     success_effect,
     tensor,
@@ -207,6 +209,36 @@ def test_conditioning_matches_dense_composition():
     red = np.einsum("ikjk->ij", cond.reshape(10, 10, 10, 10)) / p
     assert abs(out.probability - p) < 1e-14
     assert np.max(np.abs(out.conditional_state.matrix - red)) < 1e-13
+
+
+def _random_effect(d, rng):
+    """Non-diagonal full-rank effect: a random unitary conjugating eigenvalues in (0.05, 0.95)."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return (q * rng.uniform(0.05, 0.95, size=d)) @ q.conj().T
+
+
+def test_conditioning_matches_sqrt_effect_composition_on_every_mode():
+    # sqrt(E) rho sqrt(E) through apply_unitary, then the trace and partial trace
+    dims = (3, 4, 2)
+    size = int(np.prod(dims))
+    amps = RNG.normal(size=size) + 1j * RNG.normal(size=size)
+    psi = PureState(dims, amps).normalized()
+    g = RNG.normal(size=(size, size)) + 1j * RNG.normal(size=(size, size))
+    rho = DensityOperator(dims, g @ g.conj().T).normalized()
+    for mode, d in enumerate(dims):
+        E = _random_effect(d, RNG)
+        w, v = np.linalg.eigh(E)
+        sqrt_e = (v * np.sqrt(w)) @ v.conj().T
+        keep = [m for m in range(len(dims)) if m != mode]
+        for state in (psi, rho):
+            cond = apply_unitary(state.to_density() if state is psi else state, sqrt_e, (mode,))
+            p = cond.trace()
+            expected = partial_trace(cond, keep).matrix / p
+            out = condition_on(state, E, mode)
+            assert isinstance(out.conditional_state, DensityOperator)
+            assert out.conditional_state.dims.dims == tuple(dims[m] for m in keep)
+            assert abs(out.probability - p) < 1e-13
+            assert np.max(np.abs(out.conditional_state.matrix - expected)) < 1e-13
 
 
 def test_pure_and_density_paths_agree():

@@ -11,7 +11,9 @@ from gaussify import (
     ProtocolConfig,
     PureState,
     RareOutcomeError,
+    apply_unitary,
     beamsplitter_unitary,
+    condition_on,
     fock_ket,
     gaussianity_distance,
     homodyne_step,
@@ -23,9 +25,11 @@ from gaussify import (
     prepare_single_mode_state,
     run,
     squeezer_unitary,
+    success_effect,
     tensor,
     two_mode_squeezed_ket,
     vacuum,
+    vacuum_effect,
 )
 
 RNG = np.random.default_rng(77)
@@ -106,6 +110,27 @@ def test_photon_subtraction_approaches_two_photon_subtracted_state():
     out = prepare_photon_subtracted(r, 0.999, d)
     assert vac_pop > 0.3
     assert abs(out.conditional_state.matrix[0, 0].real - vac_pop) < 5e-3
+
+
+def _two_tap_conditioning(r, t, d):
+    """Photon subtraction composed explicitly: both taps on the four-mode state,
+    then condition_on each tap's click effect in turn."""
+    full = tensor(two_mode_squeezed_ket(r, d), vacuum(d), vacuum(d))  # (A, B, tapA, tapB)
+    U = beamsplitter_unitary(d, transmissivity=t)
+    full = apply_unitary(apply_unitary(full, U, (0, 2)), U, (1, 3))
+    click = np.eye(d) - vacuum_effect(d)
+    first = condition_on(full, click, 3)
+    second = condition_on(first.conditional_state, click, 2)
+    return second.conditional_state, first.probability * second.probability
+
+
+@pytest.mark.parametrize("r, t, d", [(0.3, 0.9, 6), (0.5, 0.95, 8), (0.5, 0.999, 8)])
+def test_photon_subtraction_matches_two_tap_conditioning(r, t, d):
+    expected, p = _two_tap_conditioning(r, t, d)
+    out = prepare_photon_subtracted(r, t, d)
+    assert out.conditional_state.dims.dims == (d, d)
+    assert abs(out.probability - p) < 1e-13 * p
+    assert np.max(np.abs(out.conditional_state.matrix - expected.matrix)) < 1e-13
 
 
 def test_photon_subtraction_raises_entanglement_of_the_source():
@@ -247,6 +272,31 @@ def test_single_ideal_step_increases_entanglement():
     out = one_step(psi, IdealVacuum())
     assert logarithmic_negativity(out.conditional_state) > before + 0.005
     assert out.leak < 1e-14  # support still below the cutoff blocks
+
+
+def _conditioned_copies(psi, detector):
+    """One two-mode step composed explicitly: both copies on four modes, each
+    party's splitter, then condition_on the measured output of B and of A."""
+    d = psi.dims.dims[0]
+    U = beamsplitter_unitary(d)
+    full = tensor(psi, psi)  # (A1, B1, A2, B2)
+    full = apply_unitary(apply_unitary(full, U, (0, 2)), U, (1, 3))
+    E = success_effect(detector, d)
+    first = condition_on(full, E, 3)
+    second = condition_on(first.conditional_state, E, 2)
+    return second.conditional_state, first.probability * second.probability
+
+
+@pytest.mark.parametrize("eta, kind", [(1 - 1e-13, PureState), (1 - 1e-11, DensityOperator)])
+def test_one_step_and_condition_on_share_one_rank_rule(eta, kind):
+    # no-click weights (1 - eta)^n: 1e-13 counts as zero (rank one, pure
+    # output), 1e-11 does not (a mixed output), in the kernel and in condition_on
+    psi = prepare_epsilon_state(0.95, 4)
+    expected, p = _conditioned_copies(psi, OnOff(eta))
+    out = one_step(psi, OnOff(eta))
+    assert isinstance(expected, kind) and isinstance(out.conditional_state, kind)
+    assert abs(out.probability - p) < 1e-13
+    assert np.max(np.abs(as_matrix(out.conditional_state) - as_matrix(expected))) < 1e-12
 
 
 def test_one_step_requires_two_equal_modes():
