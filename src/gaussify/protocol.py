@@ -199,6 +199,14 @@ def _gram(u: np.ndarray) -> np.ndarray:
     return (m.conj().T @ m).reshape(u.shape)
 
 
+def _trace_after_mixing(r: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> float:
+    """tr[(G_A (x) G_B)(rho (x) rho)] with G = U^dagger U; the pairing below
+    reads G transposed, which is G itself for the real splitter."""
+    x = np.einsum("ipIP,ijIJ->pPjJ", _gram(ua), r, optimize=True)
+    y = np.einsum("pPjJ,pqPQ->jJqQ", x, r, optimize=True)
+    return float(np.real(np.einsum("jJqQ,jqJQ->", y, _gram(ub), optimize=True)))
+
+
 def _density_contraction(r: np.ndarray, party_a, party_b):
     """Both copies of r[i, j, I, J] (ket A, ket B, bra A, bra B) through both
     parties' splitters and effects; never materializes the four-mode matrix.
@@ -209,13 +217,80 @@ def _density_contraction(r: np.ndarray, party_a, party_b):
     s = np.einsum("m,amip,cmIP,ijIJ,pqPQ->acjJqQ", ea, ua, ua.conj(), r, r, optimize=True)
     kb = np.einsum("n,bnjq,dnJQ->bdjJqQ", eb, ub, ub.conj(), optimize=True)
     out = np.einsum("acjJqQ,bdjJqQ->abcd", s, kb, optimize=True)
-    # trace after mixing, tr[(G_A (x) G_B)(rho (x) rho)] with G = U^dagger U; the
-    # pairing below reads G transposed, which is G itself for the real splitter
-    x = np.einsum("ipIP,ijIJ->pPjJ", _gram(ua), r, optimize=True)
-    y = np.einsum("pPjJ,pqPQ->jJqQ", x, r, optimize=True)
-    trace_after = float(np.real(np.einsum("jJqQ,jqJQ->", y, _gram(ub), optimize=True)))
     size = r.shape[0] * r.shape[1]
-    return out.reshape(size, size), trace_after
+    return out.reshape(size, size), _trace_after_mixing(r, ua, ub)
+
+
+def _sectors(r: np.ndarray) -> Optional[np.ndarray]:
+    """The compressed state rs[d - 1 + delta, i, j] = r[i, j, i + delta, j + delta]
+    (zero past the cutoff) for delta in [-(d-1), d-1] of a two-mode r[i, j, I, J]
+    of equal cutoffs d, or None when r has weight outside these n_A - n_B sectors."""
+    d = r.shape[0]
+    n = np.arange(d)
+    shift = np.arange(1 - d, d)[:, None, None]
+    bra_a, bra_b = n[:, None] + shift, n + shift
+    inside = (bra_a >= 0) & (bra_a < d) & (bra_b >= 0) & (bra_b < d)
+    rs = np.where(inside, r[n[:, None], n, bra_a % d, bra_b % d], 0)
+    return rs if np.count_nonzero(rs) == np.count_nonzero(r) else None
+
+
+class _ShiftKernel:
+    """One party's splitter-and-effect kernel per output sector kappa:
+
+        v[a, delta, i, p] = e_m u[a, m, i, p] conj(u[a + kappa, m, i + delta, p + kappa - delta])
+
+    with m = i + p - a, the only measured level photon-number conservation
+    allows. Only one kappa slice, O(d^4), is ever built.
+    """
+
+    def __init__(self, party):
+        u, e = party
+        d = e.size
+        n = np.arange(d)
+        m = n[:, None] + n - n[:, None, None]  # m[a, i, p]
+        ok = (m >= 0) & (m < d)
+        m = m % d
+        compact = np.where(ok, u[n[:, None, None], m, n[:, None], n], 0)  # u[a, m, i, p]
+        self.weighted = compact * np.where(ok, e[m], 0)
+        # conj(compact) with d - 1 zero levels on both sides of i and p, so every
+        # shifted read below is a strided view
+        self.padded = np.zeros((d, 3 * d - 2, 3 * d - 2), dtype=complex)
+        self.padded[:, d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = compact.conj()
+
+    def slice(self, kappa: int, kept: slice, lo: int, hi: int) -> np.ndarray:
+        """v[a, delta, i, p] for a in kept and delta in [lo, hi]."""
+        d = self.weighted.shape[0]
+        s0, s1, s2 = self.padded.strides
+        start = self.padded[kept.start + kappa :, d - 1 + lo :, d - 1 + kappa - lo :]
+        shifted = np.lib.stride_tricks.as_strided(
+            start, (kept.stop - kept.start, hi - lo + 1, d, d), (s0, s1 - s2, s1, s2), writeable=False
+        )
+        return self.weighted[kept, None] * shifted
+
+
+def _sector_contraction(rs: np.ndarray, party_a, party_b):
+    """The kept output of `_density_contraction` for a two-mode state held as
+    its n_A - n_B sectors rs (see `_sectors`), as out[a, b, c, d] with c - a =
+    d - b = kappa; both copies and both splitters conserve photon number, so
+    output sector kappa collects copy-1 sector delta with copy-2 sector kappa - delta.
+    """
+    d = rs.shape[1]
+    kernel_a = _ShiftKernel(party_a)
+    kernel_b = kernel_a if party_b is party_a else _ShiftKernel(party_b)
+    out = np.zeros((d,) * 4, dtype=complex)
+    for kappa in range(1 - d, d):
+        kept = slice(max(0, -kappa), d - max(0, kappa))
+        lo, hi = max(1 - d, kappa + 1 - d), min(d - 1, kappa + d - 1)
+        v = kernel_a.slice(kappa, kept, lo, hi)
+        w = v if kernel_b is kernel_a else kernel_b.slice(kappa, kept, lo, hi)
+        first = rs[d - 1 + lo : d + hi]  # copy 1 in sector delta
+        second = rs[d - 1 + kappa - hi : d + kappa - lo][::-1]  # copy 2 in kappa - delta
+        # x[a, delta, j, q] = sum_ip first[delta, i, j] v[a, delta, i, p] second[delta, p, q]
+        x = first.transpose(0, 2, 1) @ (v @ second)
+        block = x.reshape(x.shape[0], -1) @ w.reshape(w.shape[0], -1).T
+        a = np.arange(kept.start, kept.stop)
+        out[a[:, None], a, a[:, None] + kappa, a + kappa] = block
+    return out.reshape(d * d, d * d)
 
 
 def _step(state, party_a, party_b) -> MeasurementOutcome:
@@ -226,7 +301,12 @@ def _step(state, party_a, party_b) -> MeasurementOutcome:
         out = _kraus_sum(kraus)
     elif isinstance(state, DensityOperator):
         r = state.matrix.reshape(shape + shape)
-        out, trace_after = _density_contraction(r, party_a, party_b)
+        rs = _sectors(r) if state.dims.n_modes == 2 else None
+        if rs is None:
+            out, trace_after = _density_contraction(r, party_a, party_b)
+        else:
+            out = _sector_contraction(rs, party_a, party_b)
+            trace_after = _trace_after_mixing(r, party_a[0], party_b[0])
     else:
         raise TypeError(f"unsupported state type {type(state)!r}")
     return _outcome(state.dims, out, max(0.0, 1.0 - trace_after))

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussify import (
     DensityOperator,
@@ -20,6 +23,7 @@ from gaussify import (
     logarithmic_negativity,
     one_step,
     one_step_single_mode,
+    pad,
     prepare_epsilon_state,
     prepare_photon_subtracted,
     prepare_single_mode_state,
@@ -31,6 +35,7 @@ from gaussify import (
     vacuum,
     vacuum_effect,
 )
+from gaussify import protocol
 
 RNG = np.random.default_rng(77)
 
@@ -234,14 +239,131 @@ def test_one_step_matches_brute_force_oracle(detector, e_fn):
     assert abs(out.probability - p) < 1e-12
     assert np.max(np.abs(as_matrix(out.conditional_state) - expected)) < 1e-12
 
-    # mixed input through the density contraction
+    # mixed inputs: every n_A - n_B sector filled (the dense contraction), and
+    # block-diagonal in n_A - n_B (the sector contraction)
     m = RNG.normal(size=(d * d, d * d)) + 1j * RNG.normal(size=(d * d, d * d))
     m = m @ m.conj().T
-    rho = DensityOperator((d, d), m / np.trace(m).real)
-    expected, p = _brute_force_step(rho.matrix, d, e)
-    out = one_step(rho, detector)
-    assert abs(out.probability - p) < 1e-12
-    assert np.max(np.abs(as_matrix(out.conditional_state) - expected)) < 1e-12
+    for rho in (DensityOperator((d, d), m / np.trace(m).real), _random_sector_density(d, RNG)):
+        expected, p = _brute_force_step(rho.matrix, d, e)
+        out = one_step(rho, detector)
+        assert abs(out.probability - p) < 1e-12
+        assert np.max(np.abs(as_matrix(out.conditional_state) - expected)) < 1e-12
+
+
+def _random_sector_density(d, rng):
+    """A random full-rank density matrix on (d, d) that is block-diagonal in n_A - n_B."""
+    i, j = np.divmod(np.arange(d * d), d)
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(1 - d, d):
+        block = np.flatnonzero(i - j == k)
+        g = rng.normal(size=(block.size, block.size)) + 1j * rng.normal(size=(block.size, block.size))
+        m[np.ix_(block, block)] = g @ g.conj().T
+    return DensityOperator((d, d), m / np.trace(m).real)
+
+
+def _off_sector_weight(state):
+    """Sum of |r[i, j, I, J]|^2 over the entries with I - i != J - j."""
+    d = state.dims.dims[0]
+    r = as_matrix(state).reshape(d, d, d, d)
+    i, j, bra_a, bra_b = np.indices(r.shape)
+    return float(np.sum(np.abs(r[bra_a - i != bra_b - j]) ** 2))
+
+
+def _iterate(detector, d, steps=2):
+    """The density state after `steps` steps from the epsilon state at cutoff d."""
+    state = prepare_epsilon_state(0.95, d)
+    for _ in range(steps):
+        state = one_step(state, detector).conditional_state
+    return state if isinstance(state, DensityOperator) else state.to_density()
+
+
+@pytest.mark.parametrize(
+    "detector",
+    [IdealVacuum(), OnOff(0.55), HomodyneFilter(0.4), HomodyneFilter(1.5)],
+    ids=["vacuum", "onoff0.55", "homodyne0.4", "homodyne1.5"],
+)
+@pytest.mark.parametrize("d", range(4, 11))
+def test_sector_contraction_matches_dense_contraction(detector, d):
+    rng = np.random.default_rng(d)
+    party = protocol._party(detector, d)
+    for rho in (_iterate(detector, d), _random_sector_density(d, rng)):
+        r = rho.matrix.reshape(d, d, d, d)
+        rs = protocol._sectors(r)
+        assert rs is not None
+        dense, _ = protocol._density_contraction(r, party, party)
+        sector = protocol._sector_contraction(rs, party, party)
+        p_dense, p_sector = np.trace(dense).real, np.trace(sector).real
+        assert abs(p_sector - p_dense) < 1e-12
+        assert np.max(np.abs(sector / p_sector - dense / p_dense)) < 1e-12
+
+
+def test_sector_contraction_serves_two_different_parties():
+    d = 6
+    rho = _random_sector_density(d, np.random.default_rng(3))
+    r = rho.matrix.reshape(d, d, d, d)
+    party_a, party_b = protocol._party(OnOff(0.55), d), protocol._party(HomodyneFilter(1.5), d)
+    dense, _ = protocol._density_contraction(r, party_a, party_b)
+    sector = protocol._sector_contraction(protocol._sectors(r), party_a, party_b)
+    assert np.max(np.abs(sector - dense)) < 1e-14
+
+
+def _spied_contractions():
+    return (
+        mock.patch.object(protocol, "_sector_contraction", wraps=protocol._sector_contraction),
+        mock.patch.object(protocol, "_density_contraction", wraps=protocol._density_contraction),
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    epsilon=st.floats(0.1, 1.5),
+    detector=st.one_of(
+        st.just(IdealVacuum()),
+        st.floats(0.05, 1.0).map(OnOff),
+        st.floats(0.3, 3.0).map(HomodyneFilter),
+    ),
+)
+def test_built_in_detectors_keep_density_steps_on_the_sector_path(epsilon, detector):
+    # photon-number conserving splitters and diagonal effects: every step maps
+    # a state that commutes with n_A - n_B to another one, exactly
+    state = prepare_epsilon_state(epsilon, 5).to_density()
+    spy_sector, spy_dense = _spied_contractions()
+    with spy_sector as sector, spy_dense as dense:
+        for _ in range(3):
+            state = one_step(state, detector).conditional_state
+            assert _off_sector_weight(state) == 0.0
+    assert sector.call_count == 3 and dense.call_count == 0
+
+
+def test_density_states_with_off_sector_weight_take_the_dense_path():
+    d = 4
+    m = RNG.normal(size=(d * d, d * d)) + 1j * RNG.normal(size=(d * d, d * d))
+    m = m @ m.conj().T
+    full = DensityOperator((d, d), m / np.trace(m).real)
+    nearly = _random_sector_density(d, RNG).matrix.copy()
+    nearly[1, 2] = nearly[2, 1] = 1e-300  # |0,1><0,2| is off-sector
+    single = DensityOperator((d,), np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex))
+    spy_sector, spy_dense = _spied_contractions()
+    with spy_sector as sector, spy_dense as dense:
+        one_step(full, OnOff(0.6))
+        one_step(DensityOperator((d, d), nearly), OnOff(0.6))
+        one_step_single_mode(single, OnOff(0.6))
+    assert sector.call_count == 0 and dense.call_count == 3
+
+
+def test_sector_step_holds_fourth_power_memory():
+    # the dense contraction's d^6 intermediate alone would be ~1 GB at d = 20
+    import tracemalloc
+
+    state = pad(_iterate(OnOff(0.6), 8, steps=3), (20, 20))
+    tracemalloc.start()
+    try:
+        out = one_step(state, OnOff(0.6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.conditional_state.dims.dims == (20, 20)
+    assert peak < 100e6
 
 
 @pytest.mark.parametrize("detector", [IdealVacuum(), OnOff(0.55), HomodyneFilter(0.4)])
