@@ -211,14 +211,14 @@ def _density_contraction(r: np.ndarray, party_a, party_b):
     """Both copies of r[i, j, I, J] (ket A, ket B, bra A, bra B) through both
     parties' splitters and effects; never materializes the four-mode matrix.
 
-    Returns the unnormalized kept density matrix and the trace after mixing.
+    Returns the unnormalized kept density matrix.
     """
     (ua, ea), (ub, eb) = party_a, party_b
     s = np.einsum("m,amip,cmIP,ijIJ,pqPQ->acjJqQ", ea, ua, ua.conj(), r, r, optimize=True)
     kb = np.einsum("n,bnjq,dnJQ->bdjJqQ", eb, ub, ub.conj(), optimize=True)
     out = np.einsum("acjJqQ,bdjJqQ->abcd", s, kb, optimize=True)
     size = r.shape[0] * r.shape[1]
-    return out.reshape(size, size), _trace_after_mixing(r, ua, ub)
+    return out.reshape(size, size)
 
 
 def _sectors(r: np.ndarray) -> Optional[np.ndarray]:
@@ -257,7 +257,7 @@ class _ShiftKernel:
         self.padded = np.zeros((d, 3 * d - 2, 3 * d - 2), dtype=complex)
         self.padded[:, d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = compact.conj()
 
-    def slice(self, kappa: int, kept: slice, lo: int, hi: int) -> np.ndarray:
+    def for_sector(self, kappa: int, kept: slice, lo: int, hi: int) -> np.ndarray:
         """v[a, delta, i, p] for a in kept and delta in [lo, hi]."""
         d = self.weighted.shape[0]
         s0, s1, s2 = self.padded.strides
@@ -281,8 +281,8 @@ def _sector_contraction(rs: np.ndarray, party_a, party_b):
     for kappa in range(1 - d, d):
         kept = slice(max(0, -kappa), d - max(0, kappa))
         lo, hi = max(1 - d, kappa + 1 - d), min(d - 1, kappa + d - 1)
-        v = kernel_a.slice(kappa, kept, lo, hi)
-        w = v if kernel_b is kernel_a else kernel_b.slice(kappa, kept, lo, hi)
+        v = kernel_a.for_sector(kappa, kept, lo, hi)
+        w = v if kernel_b is kernel_a else kernel_b.for_sector(kappa, kept, lo, hi)
         first = rs[d - 1 + lo : d + hi]  # copy 1 in sector delta
         second = rs[d - 1 + kappa - hi : d + kappa - lo][::-1]  # copy 2 in kappa - delta
         # x[a, delta, j, q] = sum_ip first[delta, i, j] v[a, delta, i, p] second[delta, p, q]
@@ -294,7 +294,12 @@ def _sector_contraction(rs: np.ndarray, party_a, party_b):
 
 
 def _step(state, party_a, party_b) -> MeasurementOutcome:
-    """One step on a state of shape (A, B) given each party's splitter and effect."""
+    """One step on a state of shape (A, B) given each party's splitter and effect.
+
+    A two-mode density state with exactly zero weight outside the n_A - n_B
+    sectors, as every built-in iterate has, takes the sector contraction;
+    every other density state takes the dense one.
+    """
     shape = (party_a[1].size, party_b[1].size)
     if isinstance(state, PureState):
         kraus, trace_after = _pure_contraction(state.amplitudes.reshape(shape), party_a, party_b)
@@ -303,10 +308,10 @@ def _step(state, party_a, party_b) -> MeasurementOutcome:
         r = state.matrix.reshape(shape + shape)
         rs = _sectors(r) if state.dims.n_modes == 2 else None
         if rs is None:
-            out, trace_after = _density_contraction(r, party_a, party_b)
+            out = _density_contraction(r, party_a, party_b)
         else:
             out = _sector_contraction(rs, party_a, party_b)
-            trace_after = _trace_after_mixing(r, party_a[0], party_b[0])
+        trace_after = _trace_after_mixing(r, party_a[0], party_b[0])
     else:
         raise TypeError(f"unsupported state type {type(state)!r}")
     return _outcome(state.dims, out, max(0.0, 1.0 - trace_after))

@@ -290,7 +290,7 @@ def test_sector_contraction_matches_dense_contraction(detector, d):
         r = rho.matrix.reshape(d, d, d, d)
         rs = protocol._sectors(r)
         assert rs is not None
-        dense, _ = protocol._density_contraction(r, party, party)
+        dense = protocol._density_contraction(r, party, party)
         sector = protocol._sector_contraction(rs, party, party)
         p_dense, p_sector = np.trace(dense).real, np.trace(sector).real
         assert abs(p_sector - p_dense) < 1e-12
@@ -302,7 +302,7 @@ def test_sector_contraction_serves_two_different_parties():
     rho = _random_sector_density(d, np.random.default_rng(3))
     r = rho.matrix.reshape(d, d, d, d)
     party_a, party_b = protocol._party(OnOff(0.55), d), protocol._party(HomodyneFilter(1.5), d)
-    dense, _ = protocol._density_contraction(r, party_a, party_b)
+    dense = protocol._density_contraction(r, party_a, party_b)
     sector = protocol._sector_contraction(protocol._sectors(r), party_a, party_b)
     assert np.max(np.abs(sector - dense)) < 1e-14
 
