@@ -225,10 +225,12 @@ def cmd_sweep_eta(
     """
     if long_steps < 1:
         raise ConfigError("sweep-eta needs steps >= 1")
+    if config.mode_count != 2:
+        raise ConfigError("sweep-eta requires a two-mode configuration")
 
     def _point(eta: float):
-        cfg = replace(config, steps=long_steps, mode_count=2,
-                      max_truncation=config.truncation, detector=OnOff(eta))
+        cfg = replace(config, steps=long_steps, max_truncation=config.truncation,
+                      detector=OnOff(eta))
         return run(cfg).records
 
     if jobs > 1:

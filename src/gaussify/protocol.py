@@ -193,32 +193,21 @@ def _pure_contraction(psi: np.ndarray, party_a, party_b):
     return weighted.transpose(0, 2, 1, 3).reshape(psi.size, -1), trace_after
 
 
-def _gram(u: np.ndarray) -> np.ndarray:
-    """U^dagger U of a splitter in the u[a, m, i, p] layout, as g[i, p, I, P]."""
-    m = u.reshape(u.shape[0] * u.shape[1], -1)
-    return (m.conj().T @ m).reshape(u.shape)
-
-
-def _trace_after_mixing(r: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> float:
-    """tr[(G_A (x) G_B)(rho (x) rho)] with G = U^dagger U; the pairing below
-    reads G transposed, which is G itself for the real splitter."""
-    x = np.einsum("ipIP,ijIJ->pPjJ", _gram(ua), r, optimize=True)
-    y = np.einsum("pPjJ,pqPQ->jJqQ", x, r, optimize=True)
-    return float(np.real(np.einsum("jJqQ,jqJQ->", y, _gram(ub), optimize=True)))
-
-
 def _density_contraction(r: np.ndarray, party_a, party_b):
     """Both copies of r[i, j, I, J] (ket A, ket B, bra A, bra B) through both
     parties' splitters and effects; never materializes the four-mode matrix.
 
-    Returns the unnormalized kept density matrix.
+    Returns the unnormalized kept density matrix and the trace of the state
+    after mixing, the same contraction with unit effects.
     """
     (ua, ea), (ub, eb) = party_a, party_b
     s = np.einsum("m,amip,cmIP,ijIJ,pqPQ->acjJqQ", ea, ua, ua.conj(), r, r, optimize=True)
     kb = np.einsum("n,bnjq,dnJQ->bdjJqQ", eb, ub, ub.conj(), optimize=True)
     out = np.einsum("acjJqQ,bdjJqQ->abcd", s, kb, optimize=True)
+    trace_after = np.einsum("amip,amIP,ijIJ,pqPQ,bnjq,bnJQ->", ua, ua.conj(), r, r, ub, ub.conj(),
+                            optimize=True)
     size = r.shape[0] * r.shape[1]
-    return out.reshape(size, size)
+    return out.reshape(size, size), float(np.real(trace_after))
 
 
 def _sectors(r: np.ndarray) -> Optional[np.ndarray]:
@@ -240,7 +229,9 @@ class _ShiftKernel:
         v[a, delta, i, p] = e_m u[a, m, i, p] conj(u[a + kappa, m, i + delta, p + kappa - delta])
 
     with m = i + p - a, the only measured level photon-number conservation
-    allows. Only one kappa slice, O(d^4), is ever built.
+    allows. Only one kappa slice, O(d^4), is ever built. The kappa = 0 slice
+    with e_m = 1, summed over a, is `gram`: g[delta, i, p] = (U^dagger U)[(i +
+    delta, p - delta), (i, p)], all of U^dagger U, which conserves photon number.
     """
 
     def __init__(self, party):
@@ -256,16 +247,20 @@ class _ShiftKernel:
         # shifted read below is a strided view
         self.padded = np.zeros((d, 3 * d - 2, 3 * d - 2), dtype=complex)
         self.padded[:, d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = compact.conj()
+        self.gram = np.einsum("aip,adip->dip", compact, self._shifted(0, slice(0, d), 1 - d, d - 1))
+
+    def _shifted(self, kappa: int, kept: slice, lo: int, hi: int) -> np.ndarray:
+        """The conj(u[a + kappa, m, i + delta, p + kappa - delta]) factor of `for_sector`."""
+        d = self.padded.shape[0]
+        s0, s1, s2 = self.padded.strides
+        start = self.padded[kept.start + kappa :, d - 1 + lo :, d - 1 + kappa - lo :]
+        return np.lib.stride_tricks.as_strided(
+            start, (kept.stop - kept.start, hi - lo + 1, d, d), (s0, s1 - s2, s1, s2), writeable=False
+        )
 
     def for_sector(self, kappa: int, kept: slice, lo: int, hi: int) -> np.ndarray:
         """v[a, delta, i, p] for a in kept and delta in [lo, hi]."""
-        d = self.weighted.shape[0]
-        s0, s1, s2 = self.padded.strides
-        start = self.padded[kept.start + kappa :, d - 1 + lo :, d - 1 + kappa - lo :]
-        shifted = np.lib.stride_tricks.as_strided(
-            start, (kept.stop - kept.start, hi - lo + 1, d, d), (s0, s1 - s2, s1, s2), writeable=False
-        )
-        return self.weighted[kept, None] * shifted
+        return self.weighted[kept, None] * self._shifted(kappa, kept, lo, hi)
 
 
 def _sector_contraction(rs: np.ndarray, party_a, party_b):
@@ -273,6 +268,8 @@ def _sector_contraction(rs: np.ndarray, party_a, party_b):
     its n_A - n_B sectors rs (see `_sectors`), as out[a, b, c, d] with c - a =
     d - b = kappa; both copies and both splitters conserve photon number, so
     output sector kappa collects copy-1 sector delta with copy-2 sector kappa - delta.
+    Also returns the trace after mixing, the sum over delta and (j, q) of
+    (rs[delta]^T g_A[delta] rs[-delta]) * g_B[delta] with each kernel's `gram`.
     """
     d = rs.shape[1]
     kernel_a = _ShiftKernel(party_a)
@@ -290,7 +287,8 @@ def _sector_contraction(rs: np.ndarray, party_a, party_b):
         block = x.reshape(x.shape[0], -1) @ w.reshape(w.shape[0], -1).T
         a = np.arange(kept.start, kept.stop)
         out[a[:, None], a, a[:, None] + kappa, a + kappa] = block
-    return out.reshape(d * d, d * d)
+    trace_after = np.sum((rs.transpose(0, 2, 1) @ kernel_a.gram @ rs[::-1]) * kernel_b.gram)
+    return out.reshape(d * d, d * d), float(np.real(trace_after))
 
 
 def _step(state, party_a, party_b) -> MeasurementOutcome:
@@ -308,10 +306,9 @@ def _step(state, party_a, party_b) -> MeasurementOutcome:
         r = state.matrix.reshape(shape + shape)
         rs = _sectors(r) if state.dims.n_modes == 2 else None
         if rs is None:
-            out = _density_contraction(r, party_a, party_b)
+            out, trace_after = _density_contraction(r, party_a, party_b)
         else:
-            out = _sector_contraction(rs, party_a, party_b)
-        trace_after = _trace_after_mixing(r, party_a[0], party_b[0])
+            out, trace_after = _sector_contraction(rs, party_a, party_b)
     else:
         raise TypeError(f"unsupported state type {type(state)!r}")
     return _outcome(state.dims, out, max(0.0, 1.0 - trace_after))

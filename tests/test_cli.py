@@ -252,6 +252,8 @@ def test_main_config_errors_exit_one(tmp_path, capsys):
     assert main(["gaussian-check", "-r", "3", "--truncation", "8", "--tol", "nan"]) == 1
     assert main(["gaussian-check", "-r", "nan"]) == 1
     assert main(["gaussian-check", "-r", "inf", "--truncation", "8"]) == 1
+    # a sweep runs two-mode points only; --single-mode is rejected, not ignored
+    assert main(["sweep-eta", "--sweep-eta", "0.5", "--single-mode"]) == 1
     # --steps 0 is not "unset"
     assert main(["sweep-eta", "--sweep-eta", "0.5", "--steps", "0"]) == 1
     for line in ("steps = abc", "jobs = 0"):

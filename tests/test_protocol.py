@@ -290,11 +290,12 @@ def test_sector_contraction_matches_dense_contraction(detector, d):
         r = rho.matrix.reshape(d, d, d, d)
         rs = protocol._sectors(r)
         assert rs is not None
-        dense = protocol._density_contraction(r, party, party)
-        sector = protocol._sector_contraction(rs, party, party)
+        dense, trace_dense = protocol._density_contraction(r, party, party)
+        sector, trace_sector = protocol._sector_contraction(rs, party, party)
         p_dense, p_sector = np.trace(dense).real, np.trace(sector).real
         assert abs(p_sector - p_dense) < 1e-12
         assert np.max(np.abs(sector / p_sector - dense / p_dense)) < 1e-12
+        assert abs(trace_sector - trace_dense) <= 1e-15
 
 
 def test_sector_contraction_serves_two_different_parties():
@@ -302,9 +303,45 @@ def test_sector_contraction_serves_two_different_parties():
     rho = _random_sector_density(d, np.random.default_rng(3))
     r = rho.matrix.reshape(d, d, d, d)
     party_a, party_b = protocol._party(OnOff(0.55), d), protocol._party(HomodyneFilter(1.5), d)
-    dense = protocol._density_contraction(r, party_a, party_b)
-    sector = protocol._sector_contraction(protocol._sectors(r), party_a, party_b)
+    dense, _ = protocol._density_contraction(r, party_a, party_b)
+    sector, _ = protocol._sector_contraction(protocol._sectors(r), party_a, party_b)
     assert np.max(np.abs(sector - dense)) < 1e-14
+
+
+def _random_state(dims, pure, rng):
+    """A random full-rank state on dims, with weight on every level up to the cutoff."""
+    n = int(np.prod(dims))
+    if pure:
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return PureState(dims, v / np.linalg.norm(v))
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = m @ m.conj().T
+    return DensityOperator(dims, m / np.trace(m).real)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize("kind", ["pure", "sector", "off-sector", "single pure", "single density"])
+def test_leak_matches_explicit_two_copy_mixing(kind, d):
+    # oracle: both copies on their own modes, (A1, B1, A2, B2) or for a single
+    # mode (A1, A2), through the truncated splitters; the leak is 1 - the trace left
+    rng = np.random.default_rng(d)
+    if kind == "sector":
+        state = _random_sector_density(d, rng)
+    else:
+        dims = (d,) if kind.startswith("single") else (d, d)
+        state = _random_state(dims, kind.endswith("pure"), rng)
+    pairs = [(0, 1)] if kind.startswith("single") else [(0, 2), (1, 3)]
+    both = tensor(state, state)
+    for modes in pairs:
+        both = apply_unitary(both, beamsplitter_unitary(d), modes)
+    if isinstance(both, PureState):
+        oracle = 1.0 - float(np.sum(np.abs(both.amplitudes) ** 2))
+    else:
+        oracle = 1.0 - float(np.trace(both.matrix).real)
+    step = one_step_single_mode if kind.startswith("single") else one_step
+    leak = step(state, OnOff(0.6)).leak
+    assert oracle >= 1e-3
+    assert abs(leak - oracle) <= 1e-15
 
 
 def _spied_contractions():
