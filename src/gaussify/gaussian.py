@@ -263,13 +263,16 @@ def williamson(gamma: np.ndarray):
 
 
 def to_fock_density(gs: GaussianState, dims) -> DensityOperator:
-    """Build the Gaussian state with the given moments on a truncated Fock basis.
+    """The Gaussian state with the given moments on a truncated Fock basis, K K^dagger."""
+    K = _gibbs_root(gs, dims)
+    return DensityOperator(_as_dims(dims), K @ K.conj().T)
 
-    Constructs the Gibbs operator exp(-H) of the quadratic Hamiltonian whose
-    covariance matches gamma, then displaces it. Symplectic eigenvalues are
-    clipped at the pure-state bound nu = 1; values below 1 - NU_FLOOR signal
-    moments corrupted by truncation leak and raise.
-    """
+
+def _gibbs_root(gs: GaussianState, dims) -> np.ndarray:
+    """Factor K (rho = K K^dagger) of exp(-H), H quadratic with covariance gamma:
+    H's eigenvectors scaled by exp(-(w - w_min)/2), normalised, then displaced.
+    Symplectic eigenvalues are clipped at nu = 1; below 1 - NU_FLOOR they signal
+    moments corrupted by truncation leak and raise."""
     fd = _as_dims(dims)
     if fd.n_modes != gs.n_modes:
         raise ValueError("mode count of dims does not match the Gaussian state")
@@ -285,25 +288,15 @@ def to_fock_density(gs: GaussianState, dims) -> DensityOperator:
     G = S_inv.T @ np.diag(np.repeat(beta, 2)) @ S_inv
     # Products on one mode are formed two levels above the cutoff and cut
     # afterwards; truncated-operator products would corrupt the top Fock level.
-    H = np.zeros((fd.size, fd.size), dtype=complex)
-    for j in range(2 * fd.n_modes):
-        for k in range(2 * fd.n_modes):
-            if G[j, k] != 0.0:
-                H += 0.5 * G[j, k] * _quadrature_product(fd.dims, (j, k), pad=2)
-    H = (H + H.conj().T) / 2
-    w, V = np.linalg.eigh(H)
-    probs = np.exp(-(w - w.min()))
-    rho = (V * probs) @ V.conj().T
-    rho /= np.real(np.trace(rho))
-    out = DensityOperator(fd, rho)
-    if np.max(np.abs(gs.d)) > 0:
-        units = [
-            displacement_unitary(dm, (gs.d[2 * m] + 1j * gs.d[2 * m + 1]) / math.sqrt(2))
-            for m, dm in enumerate(fd.dims)
-        ]
-        U = tensor(*units)
-        out = DensityOperator(fd, U @ rho @ U.conj().T)
-    return out
+    H = sum(0.5 * G[j, k] * _quadrature_product(fd.dims, (j, k), pad=2)
+            for j, k in zip(*np.nonzero(G)))
+    w, V = np.linalg.eigh((H + H.conj().T) / 2)
+    amps = np.exp(-(w - w.min()) / 2)
+    K = V * (amps / np.linalg.norm(amps))
+    if np.any(gs.d):
+        alphas = (gs.d[0::2] + 1j * gs.d[1::2]) / math.sqrt(2)
+        K = tensor(*map(displacement_unitary, fd.dims, alphas)) @ K
+    return K
 
 
 def ideal_step_covariance(gs: GaussianState) -> GaussianState:

@@ -12,13 +12,33 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from .fock import DensityOperator, PureState
-from .gaussian import covariance_of_state, to_fock_density
+from .gaussian import _gibbs_root, covariance_of_state
 
 LOG_BASE = 2
 
 
 def _as_density(state) -> DensityOperator:
     return state.to_density() if isinstance(state, PureState) else state
+
+
+def _rounding(evals: np.ndarray) -> float:
+    """The eigensolver's rounding, D * eps * max|lambda| for D eigenvalues."""
+    return evals.size * np.finfo(float).eps * float(np.max(np.abs(evals)))
+
+
+def _root(state) -> np.ndarray:
+    """A factor K with rho = K K^dagger: the ket as one column for a pure state;
+    else the eigenvectors scaled by sqrt(lambda) for eigenvalues above rounding."""
+    if isinstance(state, PureState):
+        return state.amplitudes[:, None]
+    w, V = np.linalg.eigh(state.matrix)
+    keep = w > _rounding(w)
+    return V[:, keep] * np.sqrt(w[keep])
+
+
+def _root_fidelity(root_a: np.ndarray, root_b: np.ndarray) -> float:
+    """F = ||K_a^dagger K_b||_1^2, the squared sum of its singular values."""
+    return float(min(1.0, np.linalg.svd(root_a.conj().T @ root_b, compute_uv=False).sum() ** 2))
 
 
 def logarithmic_negativity(state) -> float:
@@ -38,8 +58,7 @@ def logarithmic_negativity(state) -> float:
     da, db = rho.dims.dims
     pt = rho.tensor_view().transpose(0, 3, 2, 1).reshape(da * db, da * db)
     evals = np.linalg.eigvalsh(pt)
-    rounding = evals.size * np.finfo(float).eps * float(np.max(np.abs(evals)))
-    negativity = float(np.sum(-evals[evals < -rounding]))
+    negativity = float(np.sum(-evals[evals < -_rounding(evals)]))
     return math.log1p(2.0 * negativity / float(np.sum(evals))) / math.log(LOG_BASE)
 
 
@@ -51,19 +70,9 @@ def purity(state) -> float:
 
 
 def fidelity(state_a, state_b) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]."""
-    if isinstance(state_a, PureState) and isinstance(state_b, PureState):
-        return float(abs(state_a.overlap(state_b)) ** 2)
-    if isinstance(state_a, PureState):
-        psi = state_a.amplitudes
-        return float(np.real(np.vdot(psi, state_b.matrix @ psi)))
-    if isinstance(state_b, PureState):
-        return fidelity(state_b, state_a)
-    w, V = np.linalg.eigh(state_a.matrix)
-    sqrt_a = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-    inner = sqrt_a @ state_b.matrix @ sqrt_a
-    evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    return float(min(1.0, np.sum(np.sqrt(np.clip(evals, 0.0, None))) ** 2))
+    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1], as the
+    squared trace norm of K_a^dagger K_b for the factors of ``_root``."""
+    return _root_fidelity(_root(state_a), _root(state_b))
 
 
 @dataclass
@@ -128,11 +137,8 @@ def wigner(state, x_range, p_range, resolution) -> WignerGrid:
 
 
 def gaussianity_distance(state) -> float:
-    """1 - fidelity to the Gaussian state with identical first and second moments.
-
-    Zero (up to truncation) exactly on Gaussian states; the reference Gaussian
-    is built on the same truncated basis. A pure state is passed on as it is,
-    so its fidelity is the exact <psi|sigma|psi>.
-    """
-    reference = to_fock_density(covariance_of_state(state), state.dims)
-    return max(0.0, 1.0 - fidelity(state, reference))
+    """1 - fidelity to the Gaussian state with the same first and second moments,
+    on the same truncated basis; zero (up to truncation) on Gaussian states. The
+    reference enters as its factor, so no density matrix of it is formed."""
+    reference = _gibbs_root(covariance_of_state(state), state.dims)
+    return max(0.0, 1.0 - _root_fidelity(_root(state), reference))

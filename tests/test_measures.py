@@ -128,8 +128,20 @@ def test_fidelity_basics():
     f = fidelity(psi, phi)
     assert abs(f - abs(psi.overlap(phi)) ** 2) < 1e-12
     assert abs(fidelity(psi, phi.to_density()) - f) < 1e-10
-    # rank-deficient inputs limit the eigendecomposition route to ~sqrt(eps)
-    assert abs(fidelity(psi.to_density(), phi.to_density()) - f) < 1e-6
+    assert abs(fidelity(psi.to_density(), phi.to_density()) - f) < 1e-12
+
+
+def random_two_mode_mixed(d, rank, rng):
+    weights = rng.dirichlet(np.ones(rank))
+    kets = [random_two_mode_pure(d, rng).amplitudes for _ in range(rank)]
+    return DensityOperator((d, d), sum(w * np.outer(k, k.conj()) for w, k in zip(weights, kets)))
+
+
+def test_fidelity_is_symmetric_on_low_rank_mixed_pairs():
+    rng = np.random.default_rng(12)
+    for rank_a, rank_b in [(1, 2), (2, 3), (3, 3), (2, 5)]:
+        a, b = random_two_mode_mixed(3, rank_a, rng), random_two_mode_mixed(3, rank_b, rng)
+        assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-12
 
 
 # ---------------------------------------------------------------- wigner
@@ -252,6 +264,75 @@ def test_pure_state_distance_is_one_minus_the_exact_overlap():
         )
         want = float(1 - overlap.real)
     assert abs(gaussianity_distance(psi) - want) <= 1e-12 * want
+
+
+def _mpmath_gaussianity(rho, sigma):
+    """1 - (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 at 40 digits for real rho.
+
+    sqrt(rho) comes from the blocks of rho's exact non-zero pattern (the
+    n_A - n_B sectors, or the parity classes of one mode), so only the last
+    eigensolve is dense. sigma's imaginary part, at rounding level, enters F
+    only at second order, since it is antisymmetric and the first-order
+    response to it is a trace against a real symmetric matrix.
+    """
+    from mpmath import mp
+    from scipy.sparse.csgraph import connected_components
+
+    assert not rho.imag.any() and np.max(np.abs(sigma.imag)) < 1e-15
+    n_blocks, labels = connected_components(rho != 0, directed=False)
+    with mp.workdps(40):
+        sqrt_rho = mp.zeros(len(rho), len(rho))
+        for b in range(n_blocks):
+            idx = np.flatnonzero(labels == b)
+            block = mp.matrix(((rho.real + rho.real.T) / 2)[np.ix_(idx, idx)].tolist())
+            E, Q = mp.eigsy(block)
+            root = Q * mp.diag([mp.sqrt(max(e, 0)) for e in E]) * Q.T
+            for a, i in enumerate(idx):
+                for c, j in enumerate(idx):
+                    sqrt_rho[i, j] = root[a, c]
+        sig = mp.matrix(sigma.real.tolist())
+        inner = sqrt_rho * ((sig + sig.T) / 2) * sqrt_rho
+        evals = mp.eigsy((inner + inner.T) / 2, eigvals_only=True)
+        return float(1 - mp.fsum(mp.sqrt(max(e, 0)) for e in evals) ** 2)
+
+
+@pytest.fixture(scope="module")
+def onoff_traces():
+    onoff = OnOff(0.6)
+    return {
+        "two-mode d=6": run(ProtocolConfig(steps=10, truncation=6, max_truncation=6, detector=onoff)),
+        "single-mode": run(ProtocolConfig(steps=10, mode_count=1, detector=onoff)),
+    }
+
+
+@pytest.mark.parametrize(
+    "name,step",
+    [("two-mode d=6", k) for k in (1, 4, 7, 10)] + [("single-mode", k) for k in (4, 7, 10)],
+)
+def test_gaussianity_matches_a_40_digit_uhlmann_fidelity(onoff_traces, name, step):
+    """Against the exact fidelity of the same double rho and sigma. The rank-4
+    step-1 state is the hard case: square-rooting each of its rounding-level
+    eigenvalues would add ~3e-9 to sqrt(F)."""
+    rho = onoff_traces[name].records[step].state
+    assert isinstance(rho, DensityOperator)
+    sigma = to_fock_density(covariance_of_state(rho), rho.dims).matrix
+    want = _mpmath_gaussianity(rho.matrix, sigma)
+    assert abs(gaussianity_distance(rho) - want) <= 1e-9 * want
+
+
+def test_gaussianity_is_insensitive_to_rounding_of_the_state():
+    """A one-ulp rescaling or a 1e-16 Hermitian perturbation of each iterate of
+    the README's on/off run moves its distance by <= 1e-10 relative."""
+    rng = np.random.default_rng(5)
+    trace = run(ProtocolConfig(steps=10, detector=OnOff(0.6)))
+    for record in trace.records[1:]:
+        rho = record.state
+        base = gaussianity_distance(rho)
+        x = rng.normal(size=rho.matrix.shape) + 1j * rng.normal(size=rho.matrix.shape)
+        scaled = rho.matrix * (1 + np.finfo(float).eps)
+        perturbed = rho.matrix + 1e-16 * (x + x.conj().T) / 2
+        for moved in (scaled, perturbed):
+            assert abs(gaussianity_distance(DensityOperator(rho.dims, moved)) - base) <= 1e-10 * base
 
 
 def test_distillation_reduces_two_mode_gaussianity_distance():
