@@ -7,8 +7,11 @@ and ``np.kron(A, B)`` composes mode 0 with mode 1.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -390,3 +393,91 @@ def pad(state, new_dims):
     out = np.zeros(fd.dims + fd.dims, dtype=complex)
     out[slices + slices] = state.tensor_view()[slices + slices]
     return DensityOperator(fd, out.reshape(fd.size, fd.size))
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_index(d: int):
+    """The gather of `_sectors` at cutoff d: indices into r[i, j, I, J] and the
+    mask of those inside the cutoff. Shared by every caller, so read-only."""
+    n = np.arange(d)
+    shift = np.arange(1 - d, d)[:, None, None]
+    bra_a, bra_b = n[:, None] + shift, n + shift
+    inside = (bra_a >= 0) & (bra_a < d) & (bra_b >= 0) & (bra_b < d)
+    index = (n[:, None], n, bra_a % d, bra_b % d)
+    for a in index + (inside,):
+        a.flags.writeable = False
+    return index, inside
+
+
+def _sectors(r: np.ndarray) -> Optional[np.ndarray]:
+    """The compressed state rs[d - 1 + delta, i, j] = r[i, j, i + delta, j + delta]
+    (zero past the cutoff) for delta in [-(d-1), d-1] of a two-mode r[i, j, I, J]
+    of equal cutoffs d, or None when r has weight outside these n_A - n_B sectors.
+
+    This exact-zero test is the one definition of a sector state: the step
+    kernel and the metrics both dispatch on it."""
+    index, inside = _sector_index(r.shape[0])
+    rs = np.where(inside, r[index], 0)
+    return rs if np.count_nonzero(rs) == np.count_nonzero(r) else None
+
+
+@dataclass(frozen=True)
+class _Blocks:
+    """A partition of a Fock basis into blocks of flat indices, for operators
+    that vanish between blocks. ``rows[k]`` lists block k's basis states, and
+    blocks of equal size sit next to each other; ``ket`` and ``bra`` give the
+    flat row and column of every block entry, block after block and each
+    block row-major, so one fancy index gathers all blocks of a matrix;
+    ``stacks`` holds (start, stop, size) of each run of equal-size blocks in
+    those entries, so each run is eigensolved in one batched call."""
+
+    rows: tuple[np.ndarray, ...]
+    ket: np.ndarray
+    bra: np.ndarray
+    stacks: tuple[tuple[int, int, int], ...]
+
+    @staticmethod
+    def of(rows) -> "_Blocks":
+        rows = tuple(rows)
+        ket = np.concatenate([np.repeat(r, r.size) for r in rows])
+        bra = np.concatenate([np.tile(r, r.size) for r in rows])
+        stacks, start = [], 0
+        for n, run in itertools.groupby(r.size for r in rows):
+            stop = start + n * n * len(list(run))
+            stacks.append((start, stop, n))
+            start = stop
+        return _Blocks(rows, ket, bra, tuple(stacks))
+
+    def split(self, entries: np.ndarray) -> list[np.ndarray]:
+        """The blocks of a matrix whose entries at (ket, bra) are given, as one
+        (count, n, n) stack per run of equal-size blocks."""
+        return [entries[lo:hi].reshape(-1, n, n) for lo, hi, n in self.stacks]
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_blocks(d: int, total: bool) -> _Blocks:
+    """The basis |i, j> of two modes of cutoff d in 2d - 1 blocks by i - j (the
+    n_A - n_B sectors), or by i + j when ``total`` (the blocks of a sector
+    state's partial transpose over mode B), largest first. Shared by every
+    caller, so read-only."""
+    i, j = np.divmod(np.arange(d * d), d)
+    offset = i + j - (d - 1) if total else i - j
+    blocks = _Blocks.of(np.flatnonzero(offset == k) for k in sorted(range(1 - d, d), key=abs))
+    for a in blocks.rows + (blocks.ket, blocks.bra):
+        a.flags.writeable = False
+    return blocks
+
+
+def _partition(*states, total: bool = False) -> _Blocks:
+    """The blocks of the given states: the n_A - n_B sectors of `_sector_blocks`
+    when every state is a two-mode state of equal cutoffs with no weight
+    outside them (a pure state through its projector), else one block, the
+    whole space. Every built-in two-mode iterate is such a sector state."""
+    dims = states[0].dims.dims
+    if len(dims) == 2 and dims[0] == dims[1] and all(
+        s.dims.dims == dims
+        and _sectors((s.to_density() if isinstance(s, PureState) else s).tensor_view()) is not None
+        for s in states
+    ):
+        return _sector_blocks(dims[0], total)
+    return _Blocks.of((np.arange(states[0].dims.size),))

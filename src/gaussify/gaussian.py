@@ -3,11 +3,15 @@
 Quadrature conventions: x = (a + a+)/sqrt(2), p = -i(a - a+)/sqrt(2), ordering
 (x1, p1, x2, p2, ...), vacuum covariance = identity. The covariance matrix of
 a centered state is gamma_jk = 2 Re tr[rho R_j R_k]; first moments are tracked
-separately and subtracted.
+separately and subtracted. Moments and the moment-matched Gaussian reference
+are read from single-mode quadrature products, never from full-space
+operators; the reference is built on the blocks the metrics ask for (the
+n_A - n_B sectors of a sector state, or the whole space).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +22,10 @@ from .fock import (
     DensityOperator,
     PureState,
     _as_dims,
+    _Blocks,
     destroy,
     displacement_unitary,
+    partial_trace,
     tensor,
 )
 
@@ -198,40 +204,57 @@ def two_mode_squeezed(r: float) -> GaussianState:
     return GaussianState(gamma, np.zeros(4))
 
 
-def _quadrature_product(dims: tuple[int, ...], js, pad: int = 0) -> np.ndarray:
-    """Full-space product R_j1 R_j2 ... of the quadratures listed in ``js``.
-
-    Quadratures on one mode multiply as single-mode matrices on cutoff
-    d + pad; each mode's piece is cut to d before the pieces are composed by
-    ``kron``, so no full-space matrix is ever multiplied.
-    """
-    pieces = []
-    for m, d in enumerate(dims):
-        a = destroy(d + pad)
-        piece = np.eye(d + pad, dtype=complex)
-        for j in (j for j in js if j // 2 == m):
-            r = a + a.conj().T if j % 2 == 0 else -1j * (a - a.conj().T)
-            piece = piece @ (r / math.sqrt(2))
-        pieces.append(piece[:d, :d])
-    return tensor(*pieces)
+@functools.lru_cache(maxsize=None)
+def _quadrature_piece(d: int, js: tuple[int, ...], pad: int = 0) -> np.ndarray:
+    """The product of the single-mode quadratures R_j (x for even j, p for odd)
+    listed in ``js``, multiplied on cutoff d + pad and cut to d. Shared by
+    every caller, so read-only."""
+    a = destroy(d + pad)
+    piece = np.eye(d + pad, dtype=complex)
+    for j in js:
+        r = a + a.conj().T if j % 2 == 0 else -1j * (a - a.conj().T)
+        piece = piece @ (r / math.sqrt(2))
+    piece = piece[:d, :d]
+    piece.flags.writeable = False
+    return piece
 
 
 def covariance_of_state(state) -> GaussianState:
-    """First moments and centered second-moment matrix of a Fock-space state."""
+    """First moments and centered second-moment matrix of a Fock-space state.
+
+    A moment on one mode, tr[rho_m R_j R_k] with the truncated one-mode
+    product, is read from that mode's reduced state rho_m; the four moments
+    across two modes, tr[rho R_j (x) R_k], from one contraction of their
+    reduced state with both modes' quadratures. No full-space operator is built.
+    """
     rho = state.to_density() if isinstance(state, PureState) else state
     if not isinstance(rho, DensityOperator):
         raise TypeError(f"unsupported state type {type(state)!r}")
-    rho_t = np.ascontiguousarray(rho.matrix.T)
 
-    def moment(*js):  # Re tr[rho R_j1 R_j2 ...] = Re sum(rho^T * P), one O(D^2) pass
-        return np.real(np.sum(rho_t * _quadrature_product(rho.dims.dims, js)))
+    def moment(rho_t, dm, js):  # Re tr[rho_m P] = Re sum(rho_m^T * P)
+        return np.real(np.sum(rho_t * _quadrature_piece(dm, js)))
 
-    n_q = 2 * rho.n_modes
-    d = np.array([moment(j) for j in range(n_q)])
+    dims = rho.dims.dims
+    n_q = 2 * len(dims)
+    d = np.empty(n_q)
+    second = np.empty((n_q, n_q))  # tr[rho R_j R_k] for j <= k
+    for m, dm in enumerate(dims):
+        rho_t = partial_trace(rho, [m]).matrix.T
+        x, p = 2 * m, 2 * m + 1
+        d[x], d[p] = moment(rho_t, dm, (x,)), moment(rho_t, dm, (p,))
+        for j, k in ((x, x), (x, p), (p, p)):
+            second[j, k] = moment(rho_t, dm, (j, k))
+        for m2 in range(m + 1, len(dims)):
+            r = partial_trace(rho, [m, m2]).tensor_view()
+            qa, qb = ([_quadrature_piece(dims[k], (j,)) for j in (0, 1)] for k in (m, m2))
+            # sum over r[i, j, I, J] qa[I, i] qb[J, j], mode m first
+            t = np.tensordot(np.stack(qa), r, axes=([1, 2], [2, 0]))  # t[a, j, J]
+            cross = np.tensordot(t, np.stack(qb), axes=([1, 2], [2, 1]))
+            second[2 * m : 2 * m + 2, 2 * m2 : 2 * m2 + 2] = np.real(cross)
     gamma = np.empty((n_q, n_q))
     for j in range(n_q):
         for k in range(j, n_q):
-            gamma[j, k] = gamma[k, j] = 2.0 * moment(j, k) - 2.0 * d[j] * d[k]
+            gamma[j, k] = gamma[k, j] = 2.0 * second[j, k] - 2.0 * d[j] * d[k]
     return GaussianState(gamma, d)
 
 
@@ -264,15 +287,19 @@ def williamson(gamma: np.ndarray):
 
 def to_fock_density(gs: GaussianState, dims) -> DensityOperator:
     """The Gaussian state with the given moments on a truncated Fock basis, K K^dagger."""
-    K = _gibbs_root(gs, dims)
-    return DensityOperator(_as_dims(dims), K @ K.conj().T)
+    fd = _as_dims(dims)
+    (K,) = _gibbs_root(gs, fd, _Blocks.of((np.arange(fd.size),)))
+    return DensityOperator(fd, K @ K.conj().T)
 
 
-def _gibbs_root(gs: GaussianState, dims) -> np.ndarray:
-    """Factor K (rho = K K^dagger) of exp(-H), H quadratic with covariance gamma:
-    H's eigenvectors scaled by exp(-(w - w_min)/2), normalised, then displaced.
-    Symplectic eigenvalues are clipped at nu = 1; below 1 - NU_FLOOR they signal
-    moments corrupted by truncation leak and raise."""
+def _gibbs_root(gs: GaussianState, dims, blocks: _Blocks) -> list[np.ndarray]:
+    """Factors K_k, one per block of ``blocks``, of exp(-H) restricted to the
+    block, with H quadratic with covariance gamma: each block of H is
+    eigensolved on its own, its eigenvectors scaled by exp(-(w - w_min)/2), and
+    w_min and the normalisation run over every block, so on one block this is
+    the dense truncated Gibbs state. A displaced state is then displaced, on
+    one block only. Symplectic eigenvalues are clipped at nu = 1; below
+    1 - NU_FLOOR they signal moments corrupted by truncation leak and raise."""
     fd = _as_dims(dims)
     if fd.n_modes != gs.n_modes:
         raise ValueError("mode count of dims does not match the Gaussian state")
@@ -286,16 +313,27 @@ def _gibbs_root(gs: GaussianState, dims) -> np.ndarray:
     beta = np.log((nu + 1.0) / (nu - 1.0))
     S_inv = np.linalg.inv(S)
     G = S_inv.T @ np.diag(np.repeat(beta, 2)) @ S_inv
-    # Products on one mode are formed two levels above the cutoff and cut
-    # afterwards; truncated-operator products would corrupt the top Fock level.
-    H = sum(0.5 * G[j, k] * _quadrature_product(fd.dims, (j, k), pad=2)
-            for j, k in zip(*np.nonzero(G)))
-    w, V = np.linalg.eigh((H + H.conj().T) / 2)
-    amps = np.exp(-(w - w.min()) / 2)
-    K = V * (amps / np.linalg.norm(amps))
+    # H's entries at every block entry, as products of one-mode pieces. The
+    # pieces are formed two levels above the cutoff and cut afterwards;
+    # truncated-operator products would corrupt the top Fock level.
+    kets = np.unravel_index(blocks.ket, fd.dims)
+    bras = np.unravel_index(blocks.bra, fd.dims)
+    H = 0
+    for j, k in zip(*np.nonzero(G)):
+        pieces = (_quadrature_piece(d, tuple(q for q in (j, k) if q // 2 == m), pad=2)
+                  for m, d in enumerate(fd.dims))
+        entries = functools.reduce(np.multiply, (p[i, i2] for p, i, i2 in zip(pieces, kets, bras)))
+        H = H + 0.5 * G[j, k] * entries
+    pairs = [np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2) for h in blocks.split(H)]
+    w_min = min(w.min() for w, _ in pairs)
+    amps = [np.exp(-(w - w_min) / 2) for w, _ in pairs]
+    norm = np.linalg.norm(np.concatenate([a.ravel() for a in amps]))
+    K = [v * (a / norm) for (_, vs), stack in zip(pairs, amps) for v, a in zip(vs, stack)]
     if np.any(gs.d):
+        if len(K) != 1:
+            raise ValueError("a displaced Gaussian state has no n_A - n_B sectors")
         alphas = (gs.d[0::2] + 1j * gs.d[1::2]) / math.sqrt(2)
-        K = tensor(*map(displacement_unitary, fd.dims, alphas)) @ K
+        K = [tensor(*map(displacement_unitary, fd.dims, alphas)) @ K[0]]
     return K
 
 

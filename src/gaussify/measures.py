@@ -1,6 +1,14 @@
 """Diagnostics: logarithmic negativity, purity, fidelity, Wigner grids, Gaussianity.
 
 Logarithms are base 2 throughout, so entanglement is reported in ebits.
+
+The log-negativity, fidelity and Gaussianity work on the blocks of
+`fock._partition`: on a sector state (a two-mode state of equal cutoffs with
+no weight outside the n_A - n_B sectors, as every built-in iterate is) the
+2d - 1 blocks by i - j of rho, or by i + J of its partial transpose, each of
+size <= d; on any other state one block, the whole space. Every quantity that
+is global on the whole space (the rounding rule, the Gibbs reference's
+minimum and normalisation) stays global across the blocks.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from .fock import DensityOperator, PureState
+from .fock import DensityOperator, PureState, _Blocks, _partition
 from .gaussian import _gibbs_root, covariance_of_state
 
 LOG_BASE = 2
@@ -26,19 +34,23 @@ def _rounding(evals: np.ndarray) -> float:
     return evals.size * np.finfo(float).eps * float(np.max(np.abs(evals)))
 
 
-def _root(state) -> np.ndarray:
-    """A factor K with rho = K K^dagger: the ket as one column for a pure state;
-    else the eigenvectors scaled by sqrt(lambda) for eigenvalues above rounding."""
+def _root(state, blocks: _Blocks) -> list[np.ndarray]:
+    """Per block, a factor K_k with rho_k = K_k K_k^dagger: the ket's rows as
+    one column for a pure state; else the block's eigenvectors scaled by
+    sqrt(lambda) for eigenvalues above the rounding of all blocks together."""
     if isinstance(state, PureState):
-        return state.amplitudes[:, None]
-    w, V = np.linalg.eigh(state.matrix)
-    keep = w > _rounding(w)
-    return V[:, keep] * np.sqrt(w[keep])
+        return [state.amplitudes[rows, None] for rows in blocks.rows]
+    pairs = [np.linalg.eigh(s) for s in blocks.split(state.matrix[blocks.ket, blocks.bra])]
+    cut = _rounding(np.concatenate([w.ravel() for w, _ in pairs]))
+    return [v[:, w > cut] * np.sqrt(w[w > cut]) for ws, vs in pairs for w, v in zip(ws, vs)]
 
 
-def _root_fidelity(root_a: np.ndarray, root_b: np.ndarray) -> float:
-    """F = ||K_a^dagger K_b||_1^2, the squared sum of its singular values."""
-    return float(min(1.0, np.linalg.svd(root_a.conj().T @ root_b, compute_uv=False).sum() ** 2))
+def _root_fidelity(roots_a, roots_b) -> float:
+    """F = (sum_k ||K_a,k^dagger K_b,k||_1)^2 over the blocks, each trace norm the
+    sum of singular values."""
+    root_f = sum(np.linalg.svd(ka.conj().T @ kb, compute_uv=False).sum()
+                 for ka, kb in zip(roots_a, roots_b))
+    return float(min(1.0, root_f**2))
 
 
 def logarithmic_negativity(state) -> float:
@@ -50,14 +62,18 @@ def logarithmic_negativity(state) -> float:
     negativities keep full relative precision. Negative eigenvalues no larger
     in magnitude than the eigensolver's rounding, D * eps * max|lambda| for a
     D-dimensional partial transpose, count as zero, so PPT states (product
-    states among them) return exactly 0.0.
+    states among them) return exactly 0.0. A sector state's rho^T_B is
+    eigensolved in its 2d - 1 blocks by i + J; D and max|lambda| still run
+    over all of them.
     """
     rho = _as_density(state)
     if rho.n_modes != 2:
         raise ValueError("logarithmic negativity is defined here for two-mode states")
-    da, db = rho.dims.dims
-    pt = rho.tensor_view().transpose(0, 3, 2, 1).reshape(da * db, da * db)
-    evals = np.linalg.eigvalsh(pt)
+    blocks = _partition(rho, total=True)
+    db = rho.dims.dims[1]
+    (a, b), (a2, b2) = (np.unravel_index(i, rho.dims.dims) for i in (blocks.ket, blocks.bra))
+    pt = rho.matrix[a * db + b2, a2 * db + b]  # rho^T_B[(a, b), (a2, b2)] = rho[(a, b2), (a2, b)]
+    evals = np.concatenate([np.linalg.eigvalsh(s).ravel() for s in blocks.split(pt)])
     negativity = float(np.sum(-evals[evals < -_rounding(evals)]))
     return math.log1p(2.0 * negativity / float(np.sum(evals))) / math.log(LOG_BASE)
 
@@ -71,8 +87,10 @@ def purity(state) -> float:
 
 def fidelity(state_a, state_b) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1], as the
-    squared trace norm of K_a^dagger K_b for the factors of ``_root``."""
-    return _root_fidelity(_root(state_a), _root(state_b))
+    squared trace norm of K_a^dagger K_b for the factors of ``_root``, summed
+    over the n_A - n_B sectors when both are sector states."""
+    blocks = _partition(state_a, state_b)
+    return _root_fidelity(_root(state_a, blocks), _root(state_b, blocks))
 
 
 @dataclass
@@ -139,6 +157,9 @@ def wigner(state, x_range, p_range, resolution) -> WignerGrid:
 def gaussianity_distance(state) -> float:
     """1 - fidelity to the Gaussian state with the same first and second moments,
     on the same truncated basis; zero (up to truncation) on Gaussian states. The
-    reference enters as its factor, so no density matrix of it is formed."""
-    reference = _gibbs_root(covariance_of_state(state), state.dims)
-    return max(0.0, 1.0 - _root_fidelity(_root(state), reference))
+    reference enters as its factor, so no density matrix of it is formed. A
+    sector state has zero mean and its reference the same sectors, so both
+    factors, and the fidelity, are taken block by block."""
+    blocks = _partition(state)
+    reference = _gibbs_root(covariance_of_state(state), state.dims, blocks)
+    return max(0.0, 1.0 - _root_fidelity(_root(state, blocks), reference))

@@ -26,6 +26,7 @@ from .fock import (
     DensityOperator,
     FockDims,
     PureState,
+    _sectors,
     beamsplitter_unitary,
     pad,
     two_mode_squeezed_ket,
@@ -208,19 +209,6 @@ def _density_contraction(r: np.ndarray, party_a, party_b):
                             optimize=True)
     size = r.shape[0] * r.shape[1]
     return out.reshape(size, size), float(np.real(trace_after))
-
-
-def _sectors(r: np.ndarray) -> Optional[np.ndarray]:
-    """The compressed state rs[d - 1 + delta, i, j] = r[i, j, i + delta, j + delta]
-    (zero past the cutoff) for delta in [-(d-1), d-1] of a two-mode r[i, j, I, J]
-    of equal cutoffs d, or None when r has weight outside these n_A - n_B sectors."""
-    d = r.shape[0]
-    n = np.arange(d)
-    shift = np.arange(1 - d, d)[:, None, None]
-    bra_a, bra_b = n[:, None] + shift, n + shift
-    inside = (bra_a >= 0) & (bra_a < d) & (bra_b >= 0) & (bra_b < d)
-    rs = np.where(inside, r[n[:, None], n, bra_a % d, bra_b % d], 0)
-    return rs if np.count_nonzero(rs) == np.count_nonzero(r) else None
 
 
 class _ShiftKernel:

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussify import (
     DensityOperator,
@@ -27,6 +30,7 @@ from gaussify import (
     vacuum,
     wigner,
 )
+from gaussify import fock, measures
 
 RNG = np.random.default_rng(9)
 
@@ -340,3 +344,92 @@ def test_distillation_reduces_two_mode_gaussianity_distance():
     trace = run(cfg)
     g = [r.gaussianity for r in trace.records]
     assert all(b < a for a, b in zip(g, g[1:]))
+
+
+# ---------------------------------------------------------------- sector blocks
+
+
+def _sector_state(d, pure, rng):
+    """A random two-mode state of cutoff d commuting with n_A - n_B: a ket on one
+    sector, or a full-rank density matrix block-diagonal in i - j."""
+    i, j = np.divmod(np.arange(d * d), d)
+    if pure:
+        rows = np.flatnonzero(i - j == rng.integers(1 - d, d))
+        amps = np.zeros(d * d, dtype=complex)
+        amps[rows] = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
+        return PureState((d, d), amps).normalized()
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(1 - d, d):
+        rows = np.flatnonzero(i - j == k)
+        g = rng.normal(size=(rows.size, rows.size)) + 1j * rng.normal(size=(rows.size, rows.size))
+        m[np.ix_(rows, rows)] = g @ g.conj().T
+    return DensityOperator((d, d), m / np.trace(m).real)
+
+
+def _one_block(*states, total=False):
+    return fock._Blocks.of((np.arange(states[0].dims.size),))
+
+
+def _value_or_error(metric, state, one_block=False):
+    """The metric, or the message of the ValueError it raises; with one_block,
+    evaluated on the one-block partition, the dense computation."""
+    with mock.patch.object(measures, "_partition", _one_block if one_block else fock._partition):
+        try:
+            return metric(state)
+        except ValueError as exc:
+            return str(exc)
+
+
+def _assert_blocks_match_one_block(state):
+    assert len(fock._partition(state).rows) == 2 * state.dims.dims[0] - 1
+    for metric in (logarithmic_negativity, gaussianity_distance):
+        blocks, dense = _value_or_error(metric, state), _value_or_error(metric, state, True)
+        if isinstance(dense, str):
+            assert blocks == dense
+        else:
+            assert abs(blocks - dense) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 8), pure=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_metrics_match_the_one_block_evaluation(d, pure, seed):
+    _assert_blocks_match_one_block(_sector_state(d, pure, np.random.default_rng(seed)))
+
+
+def test_block_gaussianity_raises_where_the_one_block_evaluation_does():
+    """The README's ideal run at cutoff 6 leaks enough that its late kets have
+    moments below the uncertainty bound: both evaluations reject them alike."""
+    trace = run(ProtocolConfig(steps=10, epsilon=0.95, truncation=6))
+    raised = [r.step for r in trace.records if math.isnan(r.gaussianity)]
+    assert raised and raised[-1] == 10
+    for record in trace.records:
+        _assert_blocks_match_one_block(record.state)
+
+
+def test_number_states_and_thermal_products_have_exactly_zero_block_negativity():
+    d = 6
+    weights = 0.4 ** np.arange(d)
+    thermal = DensityOperator((d,), np.diag(weights / weights.sum()).astype(complex))
+    states = [fock_ket((d, d), (n, m)) for n, m in ((0, 0), (2, 3), (5, 1))]
+    states += [s.to_density() for s in states] + [tensor(thermal, thermal)]
+    for state in states:
+        assert len(fock._partition(state, total=True).rows) == 2 * d - 1
+        assert logarithmic_negativity(state) == 0.0
+
+
+def test_one_off_sector_entry_takes_the_one_block_partition():
+    d = 5
+    rho = _sector_state(d, False, np.random.default_rng(2))
+    nearly = rho.matrix.copy()
+    nearly[1, 2] = nearly[2, 1] = 1e-300  # |0,1><0,2| is off-sector
+    nearly = DensityOperator((d, d), nearly)
+    assert len(fock._partition(nearly).rows) == len(fock._partition(nearly, total=True).rows) == 1
+    for metric in (logarithmic_negativity, gaussianity_distance):
+        assert abs(metric(nearly) - metric(rho)) <= 1e-12
+
+
+def test_unequal_cutoffs_take_the_one_block_partition():
+    rho = _sector_state(4, False, np.random.default_rng(4))
+    wider = fock.pad(rho, (4, 5))
+    assert len(fock._partition(wider).rows) == len(fock._partition(wider, total=True).rows) == 1
+    assert abs(logarithmic_negativity(wider) - logarithmic_negativity(rho)) <= 1e-12

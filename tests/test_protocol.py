@@ -35,7 +35,7 @@ from gaussify import (
     vacuum,
     vacuum_effect,
 )
-from gaussify import protocol
+from gaussify import fock, protocol
 
 RNG = np.random.default_rng(77)
 
@@ -288,7 +288,7 @@ def test_sector_contraction_matches_dense_contraction(detector, d):
     party = protocol._party(detector, d)
     for rho in (_iterate(detector, d), _random_sector_density(d, rng)):
         r = rho.matrix.reshape(d, d, d, d)
-        rs = protocol._sectors(r)
+        rs = fock._sectors(r)
         assert rs is not None
         dense, trace_dense = protocol._density_contraction(r, party, party)
         sector, trace_sector = protocol._sector_contraction(rs, party, party)
@@ -304,7 +304,7 @@ def test_sector_contraction_serves_two_different_parties():
     r = rho.matrix.reshape(d, d, d, d)
     party_a, party_b = protocol._party(OnOff(0.55), d), protocol._party(HomodyneFilter(1.5), d)
     dense, _ = protocol._density_contraction(r, party_a, party_b)
-    sector, _ = protocol._sector_contraction(protocol._sectors(r), party_a, party_b)
+    sector, _ = protocol._sector_contraction(fock._sectors(r), party_a, party_b)
     assert np.max(np.abs(sector - dense)) < 1e-14
 
 
@@ -379,13 +379,41 @@ def test_density_states_with_off_sector_weight_take_the_dense_path():
     full = DensityOperator((d, d), m / np.trace(m).real)
     nearly = _random_sector_density(d, RNG).matrix.copy()
     nearly[1, 2] = nearly[2, 1] = 1e-300  # |0,1><0,2| is off-sector
+    nearly = DensityOperator((d, d), nearly)
     single = DensityOperator((d,), np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex))
     spy_sector, spy_dense = _spied_contractions()
     with spy_sector as sector, spy_dense as dense:
         one_step(full, OnOff(0.6))
-        one_step(DensityOperator((d, d), nearly), OnOff(0.6))
+        one_step(nearly, OnOff(0.6))
         one_step_single_mode(single, OnOff(0.6))
     assert sector.call_count == 0 and dense.call_count == 3
+    # the metrics take the one-block partition on the same states
+    for state in (full, nearly, single):
+        assert len(fock._partition(state).rows) == 1
+
+
+def _readme_iterates():
+    """Every density iterate of the README's two-mode density commands: the
+    on/off run (cutoff 6 -> 10) and the fixed-cutoff 6 efficiency sweep."""
+    configs = [ProtocolConfig(steps=10, epsilon=0.95, detector=OnOff(0.6))] + [
+        ProtocolConfig(steps=10, epsilon=0.95, truncation=6, max_truncation=6, detector=OnOff(eta))
+        for eta in np.linspace(0.1, 1.0, 10)
+    ]
+    return [(c.detector, r.state) for c in configs for r in run(c).records
+            if isinstance(r.state, DensityOperator)]
+
+
+def test_step_and_metrics_classify_every_readme_iterate_alike():
+    iterates = _readme_iterates()
+    assert len(iterates) >= 60
+    for detector, state in iterates:
+        d = state.dims.dims[0]
+        in_sectors = len(fock._partition(state).rows) == 2 * d - 1
+        spy_sector, spy_dense = _spied_contractions()
+        with spy_sector as sector, spy_dense as dense:
+            one_step(state, detector)
+        assert (sector.call_count, dense.call_count) == ((1, 0) if in_sectors else (0, 1))
+        assert in_sectors and len(fock._partition(state, total=True).rows) == 2 * d - 1
 
 
 def test_sector_step_holds_fourth_power_memory():
