@@ -254,6 +254,12 @@ def cmd_sweep_eta(
 
 
 def write_wigner_grid(grid: WignerGrid, pairs, path) -> str:
+    """Rows x,p,w with x slowest. Each coordinate is formatted once, into a
+    template whose %.12g slots (byte-identical to _fmt, nan included) take all
+    the values in one pass."""
+    xs, ps = (["%.12g" % v for v in axis.tolist()] for axis in (grid.xs, grid.ps))
+    cells = [p + ",%.12g" for p in ps]
+    template = "\n".join(x + "," + ("\n" + x + ",").join(cells) for x in xs)
     lines = [
         f"# xmin = {_fmt(float(grid.xs[0]))}",
         f"# xmax = {_fmt(float(grid.xs[-1]))}",
@@ -261,11 +267,8 @@ def write_wigner_grid(grid: WignerGrid, pairs, path) -> str:
         f"# pmax = {_fmt(float(grid.ps[-1]))}",
         f"# resolution = {len(grid.xs)}",
         "x,p,w",
+        template % tuple(grid.values.ravel().tolist()),
     ]
-    X, P = np.meshgrid(grid.xs, grid.ps, indexing="ij")
-    columns = (X.ravel().tolist(), P.ravel().tolist(), grid.values.ravel().tolist())
-    # byte-identical to _fmt, nan included
-    lines += ["%.12g,%.12g,%.12g" % row for row in zip(*columns)]
     return _write_csv(pairs, lines, path)
 
 
@@ -287,10 +290,10 @@ def parse_wigner_grid(path) -> WignerGrid:
             if line.startswith("x,p,w"):
                 continue
             rows.append([float(v) for v in line.split(",")])
-    n = int(header["resolution"])
-    xs = np.linspace(float(header["xmin"]), float(header["xmax"]), n)
-    ps = np.linspace(float(header["pmin"]), float(header["pmax"]), n)
-    values = np.array([r[2] for r in rows]).reshape(n, n)
+    # the resolution is the x count; the p count follows from the rows
+    values = np.array([r[2] for r in rows]).reshape(int(header["resolution"]), -1)
+    xs = np.linspace(float(header["xmin"]), float(header["xmax"]), values.shape[0])
+    ps = np.linspace(float(header["pmin"]), float(header["pmax"]), values.shape[1])
     return WignerGrid(xs, ps, values)
 
 

@@ -471,13 +471,19 @@ def _sector_blocks(d: int, total: bool) -> _Blocks:
 def _partition(*states, total: bool = False) -> _Blocks:
     """The blocks of the given states: the n_A - n_B sectors of `_sector_blocks`
     when every state is a two-mode state of equal cutoffs with no weight
-    outside them (a pure state through its projector), else one block, the
-    whole space. Every built-in two-mode iterate is such a sector state."""
+    outside them, else one block, the whole space. A ket is such a state when
+    all its non-zero amplitudes psi[i, j] share one i - j; it is tested on them,
+    not on its projector. Every built-in two-mode iterate is a sector state."""
+
+    def in_sectors(s) -> bool:
+        if isinstance(s, PureState):
+            offset = np.subtract(*np.nonzero(s.tensor_view()))
+            return bool(np.all(offset == offset[:1]))
+        return _sectors(s.tensor_view()) is not None
+
     dims = states[0].dims.dims
     if len(dims) == 2 and dims[0] == dims[1] and all(
-        s.dims.dims == dims
-        and _sectors((s.to_density() if isinstance(s, PureState) else s).tensor_view()) is not None
-        for s in states
+        s.dims.dims == dims and in_sectors(s) for s in states
     ):
         return _sector_blocks(dims[0], total)
     return _Blocks.of((np.arange(states[0].dims.size),))

@@ -225,32 +225,50 @@ def covariance_of_state(state) -> GaussianState:
     A moment on one mode, tr[rho_m R_j R_k] with the truncated one-mode
     product, is read from that mode's reduced state rho_m; the four moments
     across two modes, tr[rho R_j (x) R_k], from one contraction of their
-    reduced state with both modes' quadratures. No full-space operator is built.
+    reduced state with both modes' quadratures. A ket's reduced states and
+    cross moments are read from its amplitudes. No full-space operator, and
+    no projector of a ket, is built.
     """
-    rho = state.to_density() if isinstance(state, PureState) else state
-    if not isinstance(rho, DensityOperator):
+    if isinstance(state, PureState):
+        psi = state.tensor_view()
+
+        def reduced_t(m):  # rho_m^T = conj(M) M^T for psi as M[mode m, rest]
+            M = np.moveaxis(psi, m, 0).reshape(psi.shape[m], -1)
+            return M.conj() @ M.T
+
+        def cross(m, m2, qa, qb):  # sum over conj(psi[i, j, r]) qa[i, I] qb[j, J] psi[I, J, r]
+            M = np.moveaxis(psi, (m, m2), (0, 1)).reshape(psi.shape[m], psi.shape[m2], -1)
+            return np.einsum("ijr,aiI,bjJ,IJr->ab", M.conj(), qa, qb, M, optimize=True)
+
+    elif isinstance(state, DensityOperator):
+
+        def reduced_t(m):
+            return partial_trace(state, [m]).matrix.T
+
+        def cross(m, m2, qa, qb):  # sum over r[i, j, I, J] qa[I, i] qb[J, j], mode m first
+            r = partial_trace(state, [m, m2]).tensor_view()
+            t = np.tensordot(qa, r, axes=([1, 2], [2, 0]))  # t[a, j, J]
+            return np.tensordot(t, qb, axes=([1, 2], [2, 1]))
+
+    else:
         raise TypeError(f"unsupported state type {type(state)!r}")
 
     def moment(rho_t, dm, js):  # Re tr[rho_m P] = Re sum(rho_m^T * P)
         return np.real(np.sum(rho_t * _quadrature_piece(dm, js)))
 
-    dims = rho.dims.dims
+    dims = state.dims.dims
     n_q = 2 * len(dims)
     d = np.empty(n_q)
     second = np.empty((n_q, n_q))  # tr[rho R_j R_k] for j <= k
     for m, dm in enumerate(dims):
-        rho_t = partial_trace(rho, [m]).matrix.T
+        rho_t = reduced_t(m)
         x, p = 2 * m, 2 * m + 1
         d[x], d[p] = moment(rho_t, dm, (x,)), moment(rho_t, dm, (p,))
         for j, k in ((x, x), (x, p), (p, p)):
             second[j, k] = moment(rho_t, dm, (j, k))
         for m2 in range(m + 1, len(dims)):
-            r = partial_trace(rho, [m, m2]).tensor_view()
-            qa, qb = ([_quadrature_piece(dims[k], (j,)) for j in (0, 1)] for k in (m, m2))
-            # sum over r[i, j, I, J] qa[I, i] qb[J, j], mode m first
-            t = np.tensordot(np.stack(qa), r, axes=([1, 2], [2, 0]))  # t[a, j, J]
-            cross = np.tensordot(t, np.stack(qb), axes=([1, 2], [2, 1]))
-            second[2 * m : 2 * m + 2, 2 * m2 : 2 * m2 + 2] = np.real(cross)
+            qa, qb = (np.stack([_quadrature_piece(dims[k], (j,)) for j in (0, 1)]) for k in (m, m2))
+            second[2 * m : 2 * m + 2, 2 * m2 : 2 * m2 + 2] = np.real(cross(m, m2, qa, qb))
     gamma = np.empty((n_q, n_q))
     for j in range(n_q):
         for k in range(j, n_q):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -162,12 +162,22 @@ def prepare_photon_subtracted(r: float, t: float, d: int) -> MeasurementOutcome:
     return _outcome(FockDims((d, d)), _kraus_sum(kraus))
 
 
+@lru_cache(maxsize=2)
+def _balanced_splitter(d: int) -> np.ndarray:
+    """The balanced beam splitter u[a, m, i, p] (kept a, measured m <- copy-1
+    i, copy-2 p) at cutoff d. Shared by every step, so read-only; an adaptive
+    step touches cutoffs d and d + 2, so two are held."""
+    u = beamsplitter_unitary(d).reshape(d, d, d, d)
+    u.flags.writeable = False
+    return u
+
+
 def _party(detector: DetectorModel, d: int):
-    """One party's beam splitter u[a, m, i, p] (kept a, measured m <- copy-1 i,
-    copy-2 p) and the diagonal e of its detector's success effect, with
-    entries at or below EFFECT_TOL set to zero."""
+    """One party's beam splitter (see `_balanced_splitter`) and the diagonal e
+    of its detector's success effect, with entries at or below EFFECT_TOL set
+    to zero."""
     e = np.real(np.diag(success_effect(detector, d)))
-    return beamsplitter_unitary(d).reshape(d, d, d, d), np.where(e > EFFECT_TOL, e, 0.0)
+    return _balanced_splitter(d), np.where(e > EFFECT_TOL, e, 0.0)
 
 
 # Party B of the single-mode variant: cutoff 1, beam splitter [[1]] and effect

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussify import IdealVacuum, OnOff, HomodyneFilter, ProtocolConfig, run
+from gaussify import IdealVacuum, OnOff, HomodyneFilter, ProtocolConfig, WignerGrid, protocol, run
 from gaussify.cli import (
     ConfigError,
     _config_keys,
@@ -21,6 +21,7 @@ from gaussify.cli import (
     parse_sweep_spec,
     parse_wigner_grid,
     parse_wigner_spec,
+    write_wigner_grid,
 )
 
 
@@ -140,7 +141,15 @@ def test_sweep_matches_ideal_run_at_unit_efficiency():
 def test_sweep_is_deterministic_under_parallelism():
     cfg = ProtocolConfig(steps=4, epsilon=0.95, truncation=5)
     etas = [0.3, 0.6, 0.9]
-    assert cmd_sweep_eta(cfg, etas, 4, jobs=1) == cmd_sweep_eta(cfg, etas, 4, jobs=3)
+    serial = cmd_sweep_eta(cfg, etas, 4, jobs=1)
+    # the threads race to fill the shared splitter cache
+    protocol._balanced_splitter.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert cmd_sweep_eta(cfg, etas, 4, jobs=3) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_sweep_with_one_step_writes_one_row_per_efficiency(tmp_path):
@@ -165,6 +174,26 @@ def test_wigner_files_round_trip(tmp_path):
         assert abs(grid.integral() - 1.0) < 5e-3
         minima.append(grid.minimum())
     assert minima[2] > minima[0]
+
+
+def test_wigner_writer_matches_the_per_row_rule(tmp_path):
+    """Unequal axis lengths, so a swapped axis cannot pass; values that %.12g
+    prints specially (nan, +-inf, -0.0, a subnormal, 1e-300)."""
+    xs, ps = np.linspace(-3.0, 2.5, 7), np.linspace(-1.0, 4.0, 5)
+    values = np.random.default_rng(5).normal(size=(7, 5)) * 10.0 ** np.arange(-3, 2)
+    values.flat[:6] = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300]
+    path = tmp_path / "grid.csv"
+    text = write_wigner_grid(WignerGrid(xs, ps, values), [("wigner_step", 1)], str(path))
+    X, P = np.meshgrid(xs, ps, indexing="ij")
+    rows = ["%.12g,%.12g,%.12g" % row
+            for row in zip(X.ravel().tolist(), P.ravel().tolist(), values.ravel().tolist())]
+    assert text.endswith("\nx,p,w\n" + "\n".join(rows) + "\n")
+    assert path.read_text() == text
+    grid = parse_wigner_grid(path)
+    assert np.allclose(grid.xs, xs, rtol=1e-12) and np.allclose(grid.ps, ps, rtol=1e-12)
+    assert grid.values.shape == (7, 5)
+    assert np.allclose(grid.values, values, rtol=1e-11, atol=0, equal_nan=True)
+    assert np.signbit(grid.values.flat[3]) and grid.values.flat[4] == 5e-324
 
 
 def test_wigner_requires_single_mode_config():

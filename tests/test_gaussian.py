@@ -10,6 +10,7 @@ from gaussify import (
     DensityOperator,
     GaussianState,
     IdealVacuum,
+    PureState,
     SymplecticMap,
     apply_symplectic,
     beamsplitter_symplectic,
@@ -332,6 +333,18 @@ def test_covariance_matches_full_space_oracle(dims):
         rho /= np.real(np.trace(rho))
         got = covariance_of_state(DensityOperator(dims, rho))
         gamma, d = full_space_covariance(rho, dims)
+        assert np.max(np.abs(got.gamma - gamma)) < 1e-13
+        assert np.max(np.abs(got.d - d)) < 1e-13
+
+
+@pytest.mark.parametrize("dims", [(6,), (4, 4), (3, 5), (2, 3, 2)])
+def test_ket_covariance_matches_full_space_oracle_of_its_projector(dims):
+    rng = np.random.default_rng(sum(dims) * 10 + len(dims))
+    size = int(np.prod(dims))
+    for _ in range(3):
+        ket = PureState(dims, rng.normal(size=size) + 1j * rng.normal(size=size)).normalized()
+        got = covariance_of_state(ket)
+        gamma, d = full_space_covariance(np.outer(ket.amplitudes, ket.amplitudes.conj()), dims)
         assert np.max(np.abs(got.gamma - gamma)) < 1e-13
         assert np.max(np.abs(got.d - d)) < 1e-13
 

@@ -428,6 +428,36 @@ def test_one_off_sector_entry_takes_the_one_block_partition():
         assert abs(metric(nearly) - metric(rho)) <= 1e-12
 
 
+def test_a_ket_is_partitioned_on_its_amplitudes_as_its_projector_is():
+    d = 5
+    off_sector = np.zeros(d * d, dtype=complex)
+    off_sector[[0, d + 1, 2]] = (1.0, 0.5, 1e-300)  # |0,0>, |1,1> and the off-sector |0,2>
+    kets = [two_mode_squeezed_ket(0.4, d), fock_ket((d, d), (3, 1)),
+            PureState((d, d), np.zeros(d * d)), PureState((d, d), off_sector)]
+    kets += [_sector_state(d, True, np.random.default_rng(seed)) for seed in range(5)]
+    for ket in kets:
+        for total in (False, True):
+            blocks = [fock._partition(s, total=total).rows for s in (ket, ket.to_density())]
+            assert len(blocks[0]) == len(blocks[1]) == (1 if ket is kets[3] else 2 * d - 1)
+
+
+def test_ket_gaussianity_holds_less_than_one_projector():
+    """At d = 40 a ket's projector is D^2 x 16 B = 41 MB; neither the sector
+    test nor the moments form it."""
+    import tracemalloc
+
+    d = 40
+    ket = two_mode_squeezed_ket(0.5, d)
+    tracemalloc.start()
+    try:
+        distance = gaussianity_distance(ket)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= distance < 1e-8
+    assert peak < (d * d) ** 2 * 16
+
+
 def test_unequal_cutoffs_take_the_one_block_partition():
     rho = _sector_state(4, False, np.random.default_rng(4))
     wider = fock.pad(rho, (4, 5))

@@ -431,6 +431,22 @@ def test_sector_step_holds_fourth_power_memory():
     assert peak < 100e6
 
 
+def test_steps_at_one_cutoff_share_one_read_only_splitter():
+    splitters = []
+    step = protocol._step
+    with mock.patch.object(protocol, "_step",
+                           side_effect=lambda s, a, b: splitters.append(a[0]) or step(s, a, b)):
+        one_step(prepare_epsilon_state(0.9, 5), IdealVacuum())
+        one_step(prepare_epsilon_state(0.5, 5).to_density(), OnOff(0.7))
+    assert splitters[0] is splitters[1]
+    with pytest.raises(ValueError):
+        splitters[0][0, 0, 0, 0] = 2.0
+    fresh = beamsplitter_unitary(5)
+    assert fresh.flags.writeable and not np.shares_memory(fresh, splitters[0])
+    fresh[0, 0] = 2.0
+    assert np.array_equal(splitters[0], beamsplitter_unitary(5).reshape(5, 5, 5, 5))
+
+
 @pytest.mark.parametrize("detector", [IdealVacuum(), OnOff(0.55), HomodyneFilter(0.4)])
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_one_step_single_mode_matches_brute_force_oracle(detector, d):
