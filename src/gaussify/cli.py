@@ -32,8 +32,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_TOLERANCE = 3
 
-FLOAT_FMT = "{:.12g}"
-
 # Conventions embedded in every output header so results are reproducible.
 CONVENTIONS = (
     ("bs_convention", "a+ -> (a+ + b+)/sqrt(2); b+ -> (-a+ + b+)/sqrt(2)"),
@@ -56,11 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return FLOAT_FMT.format(value)
-    return str(value)
+    return "%.12g" % value if isinstance(value, float) else str(value)
 
 
 def _number(convert, text: str, what: str):
@@ -255,8 +249,8 @@ def cmd_sweep_eta(
 
 def write_wigner_grid(grid: WignerGrid, pairs, path) -> str:
     """Rows x,p,w with x slowest. Each coordinate is formatted once, into a
-    template whose %.12g slots (byte-identical to _fmt, nan included) take all
-    the values in one pass."""
+    template whose %.12g slots (the rule of _fmt) take all the values in one
+    pass."""
     xs, ps = (["%.12g" % v for v in axis.tolist()] for axis in (grid.xs, grid.ps))
     cells = [p + ",%.12g" for p in ps]
     template = "\n".join(x + "," + ("\n" + x + ",").join(cells) for x in xs)

@@ -3,12 +3,16 @@
 All states live on a per-mode truncated basis |0>, ..., |d-1>. Multi-mode
 objects use row-major (C-order) flattening, so mode 0 is the slowest index
 and ``np.kron(A, B)`` composes mode 0 with mode 1.
+
+A two-mode state of equal cutoffs d with no weight outside the n_A - n_B
+sectors (a sector state) is stepped on its sectors (`_sectors`), and the
+metrics split it into d blocks of d states, each joining two sectors
+(`_partition`); any other state is one block.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -421,59 +425,28 @@ def _sectors(r: np.ndarray) -> Optional[np.ndarray]:
     return rs if np.count_nonzero(rs) == np.count_nonzero(r) else None
 
 
-@dataclass(frozen=True)
-class _Blocks:
-    """A partition of a Fock basis into blocks of flat indices, for operators
-    that vanish between blocks. ``rows[k]`` lists block k's basis states, and
-    blocks of equal size sit next to each other; ``ket`` and ``bra`` give the
-    flat row and column of every block entry, block after block and each
-    block row-major, so one fancy index gathers all blocks of a matrix;
-    ``stacks`` holds (start, stop, size) of each run of equal-size blocks in
-    those entries, so each run is eigensolved in one batched call."""
-
-    rows: tuple[np.ndarray, ...]
-    ket: np.ndarray
-    bra: np.ndarray
-    stacks: tuple[tuple[int, int, int], ...]
-
-    @staticmethod
-    def of(rows) -> "_Blocks":
-        rows = tuple(rows)
-        ket = np.concatenate([np.repeat(r, r.size) for r in rows])
-        bra = np.concatenate([np.tile(r, r.size) for r in rows])
-        stacks, start = [], 0
-        for n, run in itertools.groupby(r.size for r in rows):
-            stop = start + n * n * len(list(run))
-            stacks.append((start, stop, n))
-            start = stop
-        return _Blocks(rows, ket, bra, tuple(stacks))
-
-    def split(self, entries: np.ndarray) -> list[np.ndarray]:
-        """The blocks of a matrix whose entries at (ket, bra) are given, as one
-        (count, n, n) stack per run of equal-size blocks."""
-        return [entries[lo:hi].reshape(-1, n, n) for lo, hi, n in self.stacks]
-
-
 @functools.lru_cache(maxsize=None)
-def _sector_blocks(d: int, total: bool) -> _Blocks:
-    """The basis |i, j> of two modes of cutoff d in 2d - 1 blocks by i - j (the
-    n_A - n_B sectors), or by i + j when ``total`` (the blocks of a sector
-    state's partial transpose over mode B), largest first. Shared by every
-    caller, so read-only."""
-    i, j = np.divmod(np.arange(d * d), d)
-    offset = i + j - (d - 1) if total else i - j
-    blocks = _Blocks.of(np.flatnonzero(offset == k) for k in sorted(range(1 - d, d), key=abs))
-    for a in blocks.rows + (blocks.ket, blocks.bra):
-        a.flags.writeable = False
-    return blocks
+def _sector_rows(d: int, total: bool) -> np.ndarray:
+    """The basis |i, j> of two modes of cutoff d in d blocks of d states:
+    rows[k, n] is the flat index of |n, (n - k) mod d>, so block k joins the
+    n_A - n_B sectors k and k - d; with ``total`` of |n, (k - n) mod d>, so it
+    joins the total photon numbers k and k + d (the blocks of a sector state's
+    partial transpose over mode B). An operator that vanishes between sectors
+    vanishes between blocks. Shared by every caller, so read-only."""
+    n = np.arange(d)
+    k = n[:, None]
+    rows = n * d + ((k - n) if total else (n - k)) % d
+    rows.flags.writeable = False
+    return rows
 
 
-def _partition(*states, total: bool = False) -> _Blocks:
-    """The blocks of the given states: the n_A - n_B sectors of `_sector_blocks`
-    when every state is a two-mode state of equal cutoffs with no weight
-    outside them, else one block, the whole space. A ket is such a state when
-    all its non-zero amplitudes psi[i, j] share one i - j; it is tested on them,
-    not on its projector. Every built-in two-mode iterate is a sector state."""
+def _partition(*states, total: bool = False) -> np.ndarray:
+    """The blocks of the given states as rows[k, n], the flat index of block k's
+    n-th basis state: the d blocks of `_sector_rows` when every state is a
+    two-mode state of equal cutoffs d with no weight outside the n_A - n_B
+    sectors, else one block, the whole space. A ket is such a state when all its
+    non-zero amplitudes psi[i, j] share one i - j; it is tested on them, not on
+    its projector. Every built-in two-mode iterate is a sector state."""
 
     def in_sectors(s) -> bool:
         if isinstance(s, PureState):
@@ -485,5 +458,5 @@ def _partition(*states, total: bool = False) -> _Blocks:
     if len(dims) == 2 and dims[0] == dims[1] and all(
         s.dims.dims == dims and in_sectors(s) for s in states
     ):
-        return _sector_blocks(dims[0], total)
-    return _Blocks.of((np.arange(states[0].dims.size),))
+        return _sector_rows(dims[0], total)
+    return np.arange(states[0].dims.size)[None]

@@ -5,8 +5,9 @@ Quadrature conventions: x = (a + a+)/sqrt(2), p = -i(a - a+)/sqrt(2), ordering
 a centered state is gamma_jk = 2 Re tr[rho R_j R_k]; first moments are tracked
 separately and subtracted. Moments and the moment-matched Gaussian reference
 are read from single-mode quadrature products, never from full-space
-operators; the reference is built on the blocks the metrics ask for (the
-n_A - n_B sectors of a sector state, or the whole space).
+operators; the reference is built on the blocks the metrics ask for (d blocks
+of d states on a sector state, each joining two n_A - n_B sectors, or the
+whole space).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .fock import (
     DensityOperator,
     PureState,
     _as_dims,
-    _Blocks,
     destroy,
     displacement_unitary,
     partial_trace,
@@ -306,18 +306,19 @@ def williamson(gamma: np.ndarray):
 def to_fock_density(gs: GaussianState, dims) -> DensityOperator:
     """The Gaussian state with the given moments on a truncated Fock basis, K K^dagger."""
     fd = _as_dims(dims)
-    (K,) = _gibbs_root(gs, fd, _Blocks.of((np.arange(fd.size),)))
+    K = _gibbs_root(gs, fd, np.arange(fd.size)[None])[0]
     return DensityOperator(fd, K @ K.conj().T)
 
 
-def _gibbs_root(gs: GaussianState, dims, blocks: _Blocks) -> list[np.ndarray]:
-    """Factors K_k, one per block of ``blocks``, of exp(-H) restricted to the
-    block, with H quadratic with covariance gamma: each block of H is
-    eigensolved on its own, its eigenvectors scaled by exp(-(w - w_min)/2), and
-    w_min and the normalisation run over every block, so on one block this is
-    the dense truncated Gibbs state. A displaced state is then displaced, on
-    one block only. Symplectic eigenvalues are clipped at nu = 1; below
-    1 - NU_FLOOR they signal moments corrupted by truncation leak and raise."""
+def _gibbs_root(gs: GaussianState, dims, rows: np.ndarray) -> np.ndarray:
+    """Factors K[k], one per block rows[k] (see `fock._partition`), of exp(-H)
+    restricted to the block, with H quadratic with covariance gamma: the blocks
+    of H are eigensolved in one batched call, their eigenvectors scaled by
+    exp(-(w - w_min)/2), and w_min and the normalisation run over every block,
+    so on one block this is the dense truncated Gibbs state. A displaced state
+    is then displaced, on one block only. Symplectic eigenvalues are clipped at
+    nu = 1; below 1 - NU_FLOOR they signal moments corrupted by truncation leak
+    and raise."""
     fd = _as_dims(dims)
     if fd.n_modes != gs.n_modes:
         raise ValueError("mode count of dims does not match the Gaussian state")
@@ -334,24 +335,22 @@ def _gibbs_root(gs: GaussianState, dims, blocks: _Blocks) -> list[np.ndarray]:
     # H's entries at every block entry, as products of one-mode pieces. The
     # pieces are formed two levels above the cutoff and cut afterwards;
     # truncated-operator products would corrupt the top Fock level.
-    kets = np.unravel_index(blocks.ket, fd.dims)
-    bras = np.unravel_index(blocks.bra, fd.dims)
+    kets = np.unravel_index(rows[:, :, None], fd.dims)
+    bras = np.unravel_index(rows[:, None, :], fd.dims)
     H = 0
     for j, k in zip(*np.nonzero(G)):
         pieces = (_quadrature_piece(d, tuple(q for q in (j, k) if q // 2 == m), pad=2)
                   for m, d in enumerate(fd.dims))
         entries = functools.reduce(np.multiply, (p[i, i2] for p, i, i2 in zip(pieces, kets, bras)))
         H = H + 0.5 * G[j, k] * entries
-    pairs = [np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2) for h in blocks.split(H)]
-    w_min = min(w.min() for w, _ in pairs)
-    amps = [np.exp(-(w - w_min) / 2) for w, _ in pairs]
-    norm = np.linalg.norm(np.concatenate([a.ravel() for a in amps]))
-    K = [v * (a / norm) for (_, vs), stack in zip(pairs, amps) for v, a in zip(vs, stack)]
+    w, v = np.linalg.eigh((H + H.conj().swapaxes(1, 2)) / 2)
+    amps = np.exp(-(w - w.min()) / 2)
+    K = v * (amps / np.linalg.norm(amps))[:, None, :]
     if np.any(gs.d):
         if len(K) != 1:
             raise ValueError("a displaced Gaussian state has no n_A - n_B sectors")
         alphas = (gs.d[0::2] + 1j * gs.d[1::2]) / math.sqrt(2)
-        K = [tensor(*map(displacement_unitary, fd.dims, alphas)) @ K[0]]
+        K = (tensor(*map(displacement_unitary, fd.dims, alphas)) @ K[0])[None]
     return K
 
 

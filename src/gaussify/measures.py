@@ -3,10 +3,11 @@
 Logarithms are base 2 throughout, so entanglement is reported in ebits.
 
 The log-negativity, fidelity and Gaussianity work on the blocks of
-`fock._partition`: on a sector state (a two-mode state of equal cutoffs with
-no weight outside the n_A - n_B sectors, as every built-in iterate is) the
-2d - 1 blocks by i - j of rho, or by i + J of its partial transpose, each of
-size <= d; on any other state one block, the whole space. Every quantity that
+`fock._partition`, each with one batched eigensolve over all of them: on a
+sector state (a two-mode state of equal cutoffs d with no weight outside the
+n_A - n_B sectors, as every built-in iterate is) d blocks of d states, each
+joining two sectors by i - j of rho, or two by i + J of its partial
+transpose; on any other state one block, the whole space. Every quantity that
 is global on the whole space (the rounding rule, the Gibbs reference's
 minimum and normalisation) stays global across the blocks.
 """
@@ -19,14 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from .fock import DensityOperator, PureState, _Blocks, _partition
+from .fock import PureState, _partition
 from .gaussian import _gibbs_root, covariance_of_state
 
 LOG_BASE = 2
-
-
-def _as_density(state) -> DensityOperator:
-    return state.to_density() if isinstance(state, PureState) else state
 
 
 def _rounding(evals: np.ndarray) -> float:
@@ -34,22 +31,21 @@ def _rounding(evals: np.ndarray) -> float:
     return evals.size * np.finfo(float).eps * float(np.max(np.abs(evals)))
 
 
-def _root(state, blocks: _Blocks) -> list[np.ndarray]:
-    """Per block, a factor K_k with rho_k = K_k K_k^dagger: the ket's rows as
-    one column for a pure state; else the block's eigenvectors scaled by
-    sqrt(lambda) for eigenvalues above the rounding of all blocks together."""
+def _root(state, rows: np.ndarray) -> np.ndarray:
+    """A (blocks, n, r) stack of factors K_k with rho_k = K_k K_k^dagger, block
+    k on the basis states rows[k]: the ket's rows as one column for a pure
+    state; else the block's eigenvectors scaled by sqrt(lambda), and by zero
+    where lambda is at or below the rounding of all blocks together."""
     if isinstance(state, PureState):
-        return [state.amplitudes[rows, None] for rows in blocks.rows]
-    pairs = [np.linalg.eigh(s) for s in blocks.split(state.matrix[blocks.ket, blocks.bra])]
-    cut = _rounding(np.concatenate([w.ravel() for w, _ in pairs]))
-    return [v[:, w > cut] * np.sqrt(w[w > cut]) for ws, vs in pairs for w, v in zip(ws, vs)]
+        return state.amplitudes[rows][:, :, None]
+    w, v = np.linalg.eigh(state.matrix[rows[:, :, None], rows[:, None, :]])
+    return v * np.sqrt(np.where(w > _rounding(w), w, 0.0))[:, None, :]
 
 
 def _root_fidelity(roots_a, roots_b) -> float:
     """F = (sum_k ||K_a,k^dagger K_b,k||_1)^2 over the blocks, each trace norm the
     sum of singular values."""
-    root_f = sum(np.linalg.svd(ka.conj().T @ kb, compute_uv=False).sum()
-                 for ka, kb in zip(roots_a, roots_b))
+    root_f = np.linalg.svd(roots_a.conj().swapaxes(1, 2) @ roots_b, compute_uv=False).sum()
     return float(min(1.0, root_f**2))
 
 
@@ -63,17 +59,22 @@ def logarithmic_negativity(state) -> float:
     in magnitude than the eigensolver's rounding, D * eps * max|lambda| for a
     D-dimensional partial transpose, count as zero, so PPT states (product
     states among them) return exactly 0.0. A sector state's rho^T_B is
-    eigensolved in its 2d - 1 blocks by i + J; D and max|lambda| still run
-    over all of them.
+    eigensolved in its d blocks of d states by i + J; D and max|lambda| still
+    run over all of them. A ket's blocks are read from its amplitudes, so its
+    projector is never formed.
     """
-    rho = _as_density(state)
-    if rho.n_modes != 2:
+    if state.n_modes != 2:
         raise ValueError("logarithmic negativity is defined here for two-mode states")
-    blocks = _partition(rho, total=True)
-    db = rho.dims.dims[1]
-    (a, b), (a2, b2) = (np.unravel_index(i, rho.dims.dims) for i in (blocks.ket, blocks.bra))
-    pt = rho.matrix[a * db + b2, a2 * db + b]  # rho^T_B[(a, b), (a2, b2)] = rho[(a, b2), (a2, b)]
-    evals = np.concatenate([np.linalg.eigvalsh(s).ravel() for s in blocks.split(pt)])
+    rows = _partition(state, total=True)
+    a, b = np.unravel_index(rows[:, :, None], state.dims.dims)
+    a2, b2 = a.swapaxes(1, 2), b.swapaxes(1, 2)
+    # rho^T_B[(a, b), (a2, b2)] = rho[(a, b2), (a2, b)]
+    if isinstance(state, PureState):
+        psi = state.tensor_view()
+        pt = psi[a, b2] * psi[a2, b].conj()
+    else:
+        pt = state.tensor_view()[a, b2, a2, b]
+    evals = np.linalg.eigvalsh(pt)
     negativity = float(np.sum(-evals[evals < -_rounding(evals)]))
     return math.log1p(2.0 * negativity / float(np.sum(evals))) / math.log(LOG_BASE)
 
@@ -88,9 +89,9 @@ def purity(state) -> float:
 def fidelity(state_a, state_b) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1], as the
     squared trace norm of K_a^dagger K_b for the factors of ``_root``, summed
-    over the n_A - n_B sectors when both are sector states."""
-    blocks = _partition(state_a, state_b)
-    return _root_fidelity(_root(state_a, blocks), _root(state_b, blocks))
+    over the blocks of `fock._partition`."""
+    rows = _partition(state_a, state_b)
+    return _root_fidelity(_root(state_a, rows), _root(state_b, rows))
 
 
 @dataclass
@@ -136,7 +137,7 @@ def wigner(state, x_range, p_range, resolution) -> WignerGrid:
     W = (1/pi) sum (2 - delta_mn) (-1)^n Re(h_nm <m|D(beta)|n>), where
     <m|D(beta)|n> = sqrt(n!/m!) beta^(m-n) exp(-|beta|^2/2) L_n^(m-n)(|beta|^2).
     """
-    rho = _as_density(state)
+    rho = state.to_density() if isinstance(state, PureState) else state
     if rho.n_modes != 1:
         raise ValueError("Wigner grids are computed for single-mode states")
     xs, ps = wigner_axes(x_range, p_range, resolution)
@@ -160,6 +161,6 @@ def gaussianity_distance(state) -> float:
     reference enters as its factor, so no density matrix of it is formed. A
     sector state has zero mean and its reference the same sectors, so both
     factors, and the fidelity, are taken block by block."""
-    blocks = _partition(state)
-    reference = _gibbs_root(covariance_of_state(state), state.dims, blocks)
-    return max(0.0, 1.0 - _root_fidelity(_root(state, blocks), reference))
+    rows = _partition(state)
+    reference = _gibbs_root(covariance_of_state(state), state.dims, rows)
+    return max(0.0, 1.0 - _root_fidelity(_root(state, rows), reference))

@@ -17,6 +17,7 @@ from gaussify import (
     tensor,
     vacuum,
 )
+from gaussify import fock
 
 RNG = np.random.default_rng(42)
 
@@ -440,3 +441,17 @@ def test_pad_embeds_and_projects():
     assert abs(big.trace() - 1.0) < 1e-12
     back = pad(big, (3, 3))
     assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-14
+
+
+@pytest.mark.parametrize("total", [False, True])
+def test_sector_rows_fold_two_sectors_into_each_of_d_blocks(total):
+    """Block k holds |n, (n - k) mod d>: the i - j sectors k and k - d, or with
+    ``total`` the total photon numbers k and k + d."""
+    for d in range(1, 9):
+        rows = fock._sector_rows(d, total)
+        assert rows.shape == (d, d) and not rows.flags.writeable
+        assert np.array_equal(np.sort(rows, axis=None), np.arange(d * d))
+        i, j = np.divmod(rows, d)
+        k = np.arange(d)[:, None]
+        label, other = (i + j, k + d) if total else (i - j, k - d)
+        assert np.all((label == k) | (label == other))

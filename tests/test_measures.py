@@ -367,7 +367,7 @@ def _sector_state(d, pure, rng):
 
 
 def _one_block(*states, total=False):
-    return fock._Blocks.of((np.arange(states[0].dims.size),))
+    return np.arange(states[0].dims.size)[None]
 
 
 def _value_or_error(metric, state, one_block=False):
@@ -381,7 +381,8 @@ def _value_or_error(metric, state, one_block=False):
 
 
 def _assert_blocks_match_one_block(state):
-    assert len(fock._partition(state).rows) == 2 * state.dims.dims[0] - 1
+    d = state.dims.dims[0]
+    assert fock._partition(state).shape == (d, d)
     for metric in (logarithmic_negativity, gaussianity_distance):
         blocks, dense = _value_or_error(metric, state), _value_or_error(metric, state, True)
         if isinstance(dense, str):
@@ -413,7 +414,7 @@ def test_number_states_and_thermal_products_have_exactly_zero_block_negativity()
     states = [fock_ket((d, d), (n, m)) for n, m in ((0, 0), (2, 3), (5, 1))]
     states += [s.to_density() for s in states] + [tensor(thermal, thermal)]
     for state in states:
-        assert len(fock._partition(state, total=True).rows) == 2 * d - 1
+        assert fock._partition(state, total=True).shape == (d, d)
         assert logarithmic_negativity(state) == 0.0
 
 
@@ -423,7 +424,7 @@ def test_one_off_sector_entry_takes_the_one_block_partition():
     nearly = rho.matrix.copy()
     nearly[1, 2] = nearly[2, 1] = 1e-300  # |0,1><0,2| is off-sector
     nearly = DensityOperator((d, d), nearly)
-    assert len(fock._partition(nearly).rows) == len(fock._partition(nearly, total=True).rows) == 1
+    assert fock._partition(nearly).shape == fock._partition(nearly, total=True).shape == (1, d * d)
     for metric in (logarithmic_negativity, gaussianity_distance):
         assert abs(metric(nearly) - metric(rho)) <= 1e-12
 
@@ -437,8 +438,8 @@ def test_a_ket_is_partitioned_on_its_amplitudes_as_its_projector_is():
     kets += [_sector_state(d, True, np.random.default_rng(seed)) for seed in range(5)]
     for ket in kets:
         for total in (False, True):
-            blocks = [fock._partition(s, total=total).rows for s in (ket, ket.to_density())]
-            assert len(blocks[0]) == len(blocks[1]) == (1 if ket is kets[3] else 2 * d - 1)
+            shapes = [fock._partition(s, total=total).shape for s in (ket, ket.to_density())]
+            assert shapes[0] == shapes[1] == ((1, d * d) if ket is kets[3] else (d, d))
 
 
 def test_ket_gaussianity_holds_less_than_one_projector():
@@ -458,8 +459,25 @@ def test_ket_gaussianity_holds_less_than_one_projector():
     assert peak < (d * d) ** 2 * 16
 
 
+def test_ket_log_negativity_holds_less_than_one_projector():
+    """E_N of a ket is read from its amplitudes: the partial transpose's blocks
+    are psi[a, b2] conj(psi[a2, b]), so its D^2 x 16 B = 41 MB projector at
+    d = 40 is never formed; the value is its projector's."""
+    import tracemalloc
+
+    d = 40
+    ket = two_mode_squeezed_ket(0.5, d)
+    tracemalloc.start()
+    try:
+        value = logarithmic_negativity(ket)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - logarithmic_negativity(ket.to_density())) <= 1e-12
+    assert peak < (d * d) ** 2 * 16
+
 def test_unequal_cutoffs_take_the_one_block_partition():
     rho = _sector_state(4, False, np.random.default_rng(4))
     wider = fock.pad(rho, (4, 5))
-    assert len(fock._partition(wider).rows) == len(fock._partition(wider, total=True).rows) == 1
+    assert fock._partition(wider).shape == fock._partition(wider, total=True).shape == (1, 20)
     assert abs(logarithmic_negativity(wider) - logarithmic_negativity(rho)) <= 1e-12

@@ -389,7 +389,7 @@ def test_density_states_with_off_sector_weight_take_the_dense_path():
     assert sector.call_count == 0 and dense.call_count == 3
     # the metrics take the one-block partition on the same states
     for state in (full, nearly, single):
-        assert len(fock._partition(state).rows) == 1
+        assert fock._partition(state).shape == (1, state.dims.size)
 
 
 def _readme_iterates():
@@ -408,12 +408,12 @@ def test_step_and_metrics_classify_every_readme_iterate_alike():
     assert len(iterates) >= 60
     for detector, state in iterates:
         d = state.dims.dims[0]
-        in_sectors = len(fock._partition(state).rows) == 2 * d - 1
+        in_sectors = fock._partition(state).shape == (d, d)
         spy_sector, spy_dense = _spied_contractions()
         with spy_sector as sector, spy_dense as dense:
             one_step(state, detector)
         assert (sector.call_count, dense.call_count) == ((1, 0) if in_sectors else (0, 1))
-        assert in_sectors and len(fock._partition(state, total=True).rows) == 2 * d - 1
+        assert in_sectors and fock._partition(state, total=True).shape == (d, d)
 
 
 def test_sector_step_holds_fourth_power_memory():
