@@ -165,9 +165,10 @@ def prepare_photon_subtracted(r: float, t: float, d: int) -> MeasurementOutcome:
 @lru_cache(maxsize=2)
 def _balanced_splitter(d: int) -> np.ndarray:
     """The balanced beam splitter u[a, m, i, p] (kept a, measured m <- copy-1
-    i, copy-2 p) at cutoff d. Shared by every step, so read-only; an adaptive
-    step touches cutoffs d and d + 2, so two are held."""
-    u = beamsplitter_unitary(d).reshape(d, d, d, d)
+    i, copy-2 p) at cutoff d, as the float64 array its entries exactly are.
+    Shared by every step, so read-only; an adaptive step touches cutoffs d and
+    d + 2, so two are held."""
+    u = np.ascontiguousarray(beamsplitter_unitary(d).real).reshape(d, d, d, d)
     u.flags.writeable = False
     return u
 
@@ -243,7 +244,7 @@ class _ShiftKernel:
         self.weighted = compact * np.where(ok, e[m], 0)
         # conj(compact) with d - 1 zero levels on both sides of i and p, so every
         # shifted read below is a strided view
-        self.padded = np.zeros((d, 3 * d - 2, 3 * d - 2), dtype=complex)
+        self.padded = np.zeros((d, 3 * d - 2, 3 * d - 2), dtype=compact.dtype)
         self.padded[:, d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = compact.conj()
         self.gram = np.einsum("aip,adip->dip", compact, self._shifted(0, slice(0, d), 1 - d, d - 1))
 
@@ -272,7 +273,7 @@ def _sector_contraction(rs: np.ndarray, party_a, party_b):
     d = rs.shape[1]
     kernel_a = _ShiftKernel(party_a)
     kernel_b = kernel_a if party_b is party_a else _ShiftKernel(party_b)
-    out = np.zeros((d,) * 4, dtype=complex)
+    out = np.zeros((d,) * 4, dtype=np.result_type(rs, kernel_a.weighted, kernel_b.weighted))
     for kappa in range(1 - d, d):
         kept = slice(max(0, -kappa), d - max(0, kappa))
         lo, hi = max(1 - d, kappa + 1 - d), min(d - 1, kappa + d - 1)
@@ -289,19 +290,28 @@ def _sector_contraction(rs: np.ndarray, party_a, party_b):
     return out.reshape(d * d, d * d), float(np.real(trace_after))
 
 
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """The real part of a when its imaginary part is exactly zero, else a."""
+    return a if np.any(a.imag) else a.real
+
+
 def _step(state, party_a, party_b) -> MeasurementOutcome:
     """One step on a state of shape (A, B) given each party's splitter and effect.
 
     A two-mode density state with exactly zero weight outside the n_A - n_B
     sectors, as every built-in iterate has, takes the sector contraction;
-    every other density state takes the dense one.
+    every other density state takes the dense one. A state whose entries have
+    exactly zero imaginary part, as every built-in iterate's have, enters the
+    kernel as its float64 real part: the splitters and effects are real too, so
+    the same kernel then runs in real arithmetic.
     """
     shape = (party_a[1].size, party_b[1].size)
     if isinstance(state, PureState):
-        kraus, trace_after = _pure_contraction(state.amplitudes.reshape(shape), party_a, party_b)
+        psi = _real_if_exact(state.amplitudes.reshape(shape))
+        kraus, trace_after = _pure_contraction(psi, party_a, party_b)
         out = _kraus_sum(kraus)
     elif isinstance(state, DensityOperator):
-        r = state.matrix.reshape(shape + shape)
+        r = _real_if_exact(state.matrix.reshape(shape + shape))
         rs = _sectors(r) if state.dims.n_modes == 2 else None
         if rs is None:
             out, trace_after = _density_contraction(r, party_a, party_b)

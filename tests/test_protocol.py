@@ -416,8 +416,8 @@ def test_step_and_metrics_classify_every_readme_iterate_alike():
         assert in_sectors and fock._partition(state, total=True).shape == (d, d)
 
 
-def test_sector_step_holds_fourth_power_memory():
-    # the dense contraction's d^6 intermediate alone would be ~1 GB at d = 20
+def _padded_onoff_step_peak():
+    """The tracemalloc peak of one on/off:0.6 step on a 3-step iterate padded to d = 20."""
     import tracemalloc
 
     state = pad(_iterate(OnOff(0.6), 8, steps=3), (20, 20))
@@ -428,7 +428,80 @@ def test_sector_step_holds_fourth_power_memory():
     finally:
         tracemalloc.stop()
     assert out.conditional_state.dims.dims == (20, 20)
-    assert peak < 100e6
+    return peak
+
+
+def test_sector_step_holds_fourth_power_memory():
+    # the dense contraction's d^6 intermediate alone would be ~1 GB at d = 20
+    assert _padded_onoff_step_peak() < 100e6
+
+
+def test_real_iterates_step_in_float64_with_half_the_memory():
+    # 11.9 MB in float64; the complex128 path held 23.9 MB on this step
+    assert _padded_onoff_step_peak() < 16e6
+
+
+def _spied_inputs():
+    """Patches recording the dtype of the state each step kernel receives."""
+    seen = []
+    patches = [
+        mock.patch.object(protocol, name, side_effect=lambda x, a, b, f=getattr(protocol, name):
+                          seen.append(x.dtype) or f(x, a, b))
+        for name in ("_pure_contraction", "_density_contraction", "_sector_contraction")
+    ]
+    return seen, patches
+
+
+def test_every_readme_iterate_steps_in_float64():
+    iterates = _readme_iterates()
+    vacuum_run = run(ProtocolConfig(steps=10, epsilon=0.95, truncation=6))
+    iterates += [(IdealVacuum(), r.state) for r in vacuum_run.records]
+    seen, (pure, dense, sector) = _spied_inputs()
+    with pure, dense, sector as sector_spy:
+        for detector, state in iterates:
+            one_step(state, detector)
+    assert sector_spy.call_count == len(iterates) - len(vacuum_run.records)
+    assert len(seen) == len(iterates) and set(seen) == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("d", range(4, 11))
+def test_real_and_complex_kernel_inputs_agree(d):
+    rng = np.random.default_rng(100 + d)
+    onoff, homodyne = protocol._party(OnOff(0.55), d), protocol._party(HomodyneFilter(1.5), d)
+    # the real part of a density matrix is a real symmetric density matrix
+    r = _random_sector_density(d, rng).matrix.real.reshape(d, d, d, d)
+    rs = fock._sectors(r)
+    psi = rng.normal(size=(d, d))
+    psi /= np.linalg.norm(psi)
+    for parties in ((onoff, onoff), (onoff, homodyne)):
+        for kernel, x in ((protocol._sector_contraction, rs), (protocol._density_contraction, r),
+                          (protocol._pure_contraction, psi)):
+            real, trace_real = kernel(x, *parties)
+            cplx, trace_cplx = kernel(x.astype(complex), *parties)
+            assert real.dtype == np.float64 and cplx.dtype == complex
+            assert np.max(np.abs(real - cplx)) <= 1e-14
+            assert abs(trace_real - trace_cplx) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "detector", [IdealVacuum(), OnOff(0.6), HomodyneFilter(1.5)], ids=["vacuum", "onoff0.6", "homodyne1.5"]
+)
+def test_phase_rotated_input_takes_the_complex_path_with_the_same_physics(detector):
+    # exp(i phi n_A) is a local rotation; it commutes with the splitters and the
+    # diagonal effects, so p, E_N and purity are those of the real run
+    real_run = run(ProtocolConfig(steps=4, epsilon=0.95, detector=detector))
+    phased = prepare_epsilon_state(0.95, 6).amplitudes.copy()
+    phased[7] *= np.exp(0.7j)  # |1, 1>
+    seen, (pure, dense, sector) = _spied_inputs()
+    with pure, dense, sector:
+        phased_run = run(ProtocolConfig(steps=4, epsilon=0.95, detector=detector,
+                                        initial_state=PureState((6, 6), phased)))
+    assert len(seen) >= 4 and set(seen) == {np.dtype(complex)}
+    for a, b in zip(real_run.records, phased_run.records, strict=True):
+        assert a.state.dims == b.state.dims
+        assert abs(a.p_success - b.p_success) <= 1e-12
+        assert abs(a.log_negativity - b.log_negativity) <= 1e-12
+        assert abs(a.purity - b.purity) <= 1e-12
 
 
 def test_steps_at_one_cutoff_share_one_read_only_splitter():
@@ -439,12 +512,21 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
         one_step(prepare_epsilon_state(0.9, 5), IdealVacuum())
         one_step(prepare_epsilon_state(0.5, 5).to_density(), OnOff(0.7))
     assert splitters[0] is splitters[1]
+    assert splitters[0].dtype == np.float64 and not splitters[0].flags.writeable
     with pytest.raises(ValueError):
         splitters[0][0, 0, 0, 0] = 2.0
     fresh = beamsplitter_unitary(5)
+    assert fresh.dtype == complex and not np.any(fresh.imag)
     assert fresh.flags.writeable and not np.shares_memory(fresh, splitters[0])
     fresh[0, 0] = 2.0
-    assert np.array_equal(splitters[0], beamsplitter_unitary(5).reshape(5, 5, 5, 5))
+    assert np.array_equal(splitters[0], beamsplitter_unitary(5).real.reshape(5, 5, 5, 5))
+    # built through protocol's own binding of beamsplitter_unitary, the one a
+    # tracer that rebinds module globals replaces
+    protocol._balanced_splitter.cache_clear()
+    with mock.patch.object(protocol, "beamsplitter_unitary", wraps=beamsplitter_unitary) as built:
+        protocol._party(OnOff(0.7), 5)
+        protocol._party(IdealVacuum(), 5)
+    assert built.call_count == 1
 
 
 @pytest.mark.parametrize("detector", [IdealVacuum(), OnOff(0.55), HomodyneFilter(0.4)])
