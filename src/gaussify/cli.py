@@ -40,8 +40,8 @@ CONVENTIONS = (
 )
 
 
-class ConfigError(ValueError):
-    """Invalid flag, config-file entry, or parameter range."""
+class ConfigError(argparse.ArgumentTypeError, ValueError):
+    """Invalid flag, config-file entry, or parameter range (argparse reports its message)."""
 
 
 class ToleranceBreach(RuntimeError):
@@ -98,11 +98,8 @@ def detector_label(detector) -> str:
 def _config_keys() -> dict:
     """Every subcommand option's dest mapped to its default, read from the
     parser by parsing each bare subcommand; ``config`` is not a key."""
-    keys = {}
-    for command in _build_parser().commands.values():
-        keys.update(vars(command.parse_args([])))
-    del keys["config"]
-    return keys
+    return {key: value for command in _build_parser().commands.values()
+            for key, value in vars(command.parse_args([])).items() if key != "config"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -170,6 +167,22 @@ def parse_wigner_spec(text: str):
     return (xmin, xmax), (pmin, pmax), n
 
 
+def parse_jobs(text: str) -> int:
+    """A worker count: an int >= 1."""
+    jobs = _number(int, text, "jobs")
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
+    return jobs
+
+
+def parse_step_list(text: str) -> list[int]:
+    """Comma-separated steps >= 0, sorted, without repeats."""
+    steps = sorted({_number(int, v, "wigner step") for v in text.split(",") if v.strip()})
+    if not steps or steps[0] < 0:
+        raise ConfigError(f"bad step list {text!r}")
+    return steps
+
+
 def _config_pairs(config: ProtocolConfig) -> list:
     return [
         ("epsilon", _fmt(config.epsilon)),
@@ -234,7 +247,9 @@ def cmd_sweep_eta(
         results = [_point(eta) for eta in etas]
 
     reference = results[0][0].log_negativity
-    pairs = _config_pairs(config) + [
+    # each point ran OnOff(eta) for long_steps at cap = cutoff, not the config's values
+    pairs = [p for p in _config_pairs(config)
+             if p[0] not in ("steps", "max_truncation", "detector")] + [
         ("sweep_eta", ",".join(_fmt(float(e)) for e in etas)),
         ("long_steps", long_steps),
         ("initial_log_negativity", _fmt(reference)),
@@ -268,22 +283,15 @@ def write_wigner_grid(grid: WignerGrid, pairs, path) -> str:
 
 def parse_wigner_grid(path) -> WignerGrid:
     """Inverse of write_wigner_grid: rebuild the grid from its CSV file."""
-    header = {}
-    rows = []
+    header, rows = {}, []
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line:
-                continue
+        for line in map(str.strip, handle):
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
+                key, sep, value = line[1:].partition("=")
+                if sep:
                     header[key.strip()] = value.strip()
-                continue
-            if line.startswith("x,p,w"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
+            elif line and not line.startswith("x,p,w"):
+                rows.append([float(v) for v in line.split(",")])
     # the resolution is the x count; the p count follows from the rows
     values = np.array([r[2] for r in rows]).reshape(int(header["resolution"]), -1)
     xs = np.linspace(float(header["xmin"]), float(header["xmax"]), values.shape[0])
@@ -351,44 +359,54 @@ def cmd_gaussian_check(r: float, d: int, tol: float = 1e-4, out_path=None) -> st
     return text
 
 
+# Every flag's argparse keywords, once; its dest is its config-file key, and its
+# converter checks its value, so a bad flag fails before any work is done.
+_OPTIONS = {
+    "config": dict(help="flat key = value configuration file"),
+    "out": dict(help="output path (default: stdout)"),
+    "epsilon": dict(type=float, default=0.95, help="input-state parameter (>= 0; default 0.95)"),
+    "steps": dict(type=int, default=0, help="number of iteration steps (>= 0; default 0)"),
+    "truncation": dict(type=int, help="per-mode cutoff (>= 2; default 6 two-mode, 10 one-mode)"),
+    "max-truncation": dict(type=int, help="adaptive cutoff cap (default max(truncation, "
+                                          "10 two-mode or 16 one-mode))"),
+    "detector": dict(type=parse_detector, default="vacuum",
+                     help="vacuum | onoff:<eta> | homodyne:<x> (default vacuum)"),
+    "single-mode": dict(action="store_true", help="single-mode variant"),
+    "jobs": dict(type=parse_jobs, default=1, help="parallel sweep evaluations (>= 1; default 1)"),
+    "sweep-eta": dict(type=parse_sweep_spec, help="etas as lo:hi:count or a comma list (required)"),
+    "wigner": dict(type=parse_wigner_spec, help="grid as xmin:xmax:pmin:pmax:n (required)"),
+    "wigner-steps": dict(type=parse_step_list, default="0,1,2", help="steps (default 0,1,2)"),
+    "squeezing": dict(names=("-r", "--squeezing"), type=float, default=0.4,
+                      help="two-mode squeezing (>= 0; default 0.4)"),
+    "tol": dict(type=float, default=1e-4, help="deviation tolerance (>= 0; default 1e-4)"),
+}
+
+# Each subcommand: its help, the flags it reads, and keywords overriding _OPTIONS for it.
+_COMMANDS = {
+    "run": ("iterate the protocol, emit a trace CSV",
+            "config out epsilon steps truncation max-truncation detector single-mode", {}),
+    "sweep-eta": ("final log-negativity vs on/off efficiency, each point at a fixed cutoff",
+                  "config out epsilon steps truncation sweep-eta jobs",
+                  {"steps": dict(default=10, help="long step count (>= 1; default 10)")}),
+    "wigner": ("export single-mode Wigner grids per step",
+               "config out epsilon truncation max-truncation detector wigner wigner-steps",
+               {"out": dict(default="wigner", help="writes <out>_step<k>.csv (default wigner)")}),
+    "gaussian-check": ("cross-validate against covariance predictions",
+                       "config out squeezing truncation tol",
+                       {"truncation": dict(default=14, help="per-mode cutoff (>= 8; default 14)")}),
+}
+
+
 def _build_parser() -> _Parser:
-    """The one table of the CLI's options; config-file keys are their dests."""
+    """One parser per subcommand, taking only the flags it reads. None shares
+    an action with another (as parents= would), so its own defaults stay its own."""
     parser = _Parser(prog="gaussify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # Defaults that differ by subcommand are applied in main: actions from
-    # parents= are shared, so a default set on one subcommand reaches all.
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="flat key = value configuration file")
-    common.add_argument("--epsilon", type=float, default=0.95, help="input-state parameter (>= 0)")
-    common.add_argument("--steps", type=int,
-                        help="number of iteration steps (>= 0; run 0, sweep-eta 10)")
-    common.add_argument("--truncation", type=int,
-                        help="per-mode Fock cutoff (>= 2; gaussian-check 14)")
-    common.add_argument("--max-truncation", type=int, help="adaptive-truncation cap")
-    common.add_argument("--detector", default="vacuum", help="vacuum | onoff:<eta> | homodyne:<x>")
-    common.add_argument("--single-mode", action="store_true", help="single-mode variant")
-    common.add_argument("--jobs", type=int, default=1, help="parallel sweep evaluations")
-    common.add_argument("--out", help="output path (default: stdout)")
-
-    sub.add_parser("run", parents=[common], help="iterate the protocol, emit a trace CSV")
-
-    sweep = sub.add_parser(
-        "sweep-eta", parents=[common], help="final log-negativity vs detector efficiency"
-    )
-    sweep.add_argument(
-        "--sweep-eta", help="efficiencies as start:stop:count or comma list"
-    )
-
-    wig = sub.add_parser("wigner", parents=[common], help="export Wigner grids per step")
-    wig.add_argument("--wigner", help="grid as xmin:xmax:pmin:pmax:n")
-    wig.add_argument("--wigner-steps", default="0,1,2", help="comma list of steps")
-
-    check = sub.add_parser(
-        "gaussian-check", parents=[common], help="cross-validate against covariance predictions"
-    )
-    check.add_argument("-r", "--squeezing", type=float, default=0.4)
-    check.add_argument("--tol", type=float, default=1e-4)
+    for name, (help_text, flags, own) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, description=help_text)
+        for flag in flags.split():
+            keywords = {**_OPTIONS[flag], **own.get(flag, {})}
+            command.add_argument(*keywords.pop("names", ("--" + flag,)), **keywords)
     parser.commands = sub.choices
     return parser
 
@@ -407,56 +425,37 @@ def _parse_args(parser: _Parser, argv: list[str]):
     return parser.parse_args([*argv[:at], *flags, *argv[at:]])
 
 
-def _protocol_config(args) -> ProtocolConfig:
-    return _build(
-        ProtocolConfig,
-        steps=0 if args.steps is None else args.steps,
-        epsilon=args.epsilon,
-        mode_count=1 if args.single_mode else 2,
-        truncation=args.truncation,
-        max_truncation=args.max_truncation,
-        detector=parse_detector(args.detector),
-    )
+def _protocol_config(args, **fixed) -> ProtocolConfig:
+    """ProtocolConfig from the command's flags named after its fields, then ``fixed``."""
+    given = {k: v for k, v in vars(args).items() if k in ProtocolConfig.__dataclass_fields__}
+    return _build(ProtocolConfig, **{**given, **fixed})
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
-        if args.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        # the Wigner export always runs the single-mode variant
-        args.single_mode = args.single_mode or args.command == "wigner"
-        config = _protocol_config(args)
+        args = _parse_args(_build_parser(), sys.argv[1:] if argv is None else list(argv))
         if args.command == "run":
-            cmd_run(config, args.out)
+            cmd_run(_protocol_config(args, mode_count=1 if args.single_mode else 2), args.out)
         elif args.command == "sweep-eta":
             if args.sweep_eta is None:
                 raise ConfigError("sweep-eta requires --sweep-eta")
-            etas = parse_sweep_spec(args.sweep_eta)
-            long_steps = 10 if args.steps is None else args.steps
-            cmd_sweep_eta(config, etas, long_steps, args.jobs, args.out)
+            cmd_sweep_eta(_protocol_config(args), args.sweep_eta, args.steps, args.jobs, args.out)
         elif args.command == "wigner":
             if args.wigner is None:
                 raise ConfigError("wigner requires --wigner xmin:xmax:pmin:pmax:n")
-            grid_spec = parse_wigner_spec(args.wigner)
-            step_list = sorted(
-                {_number(int, v, "wigner step") for v in args.wigner_steps.split(",") if v.strip()}
-            )
-            if not step_list or min(step_list) < 0:
-                raise ConfigError(f"bad step list {args.wigner_steps!r}")
-            cmd_wigner(config, step_list, grid_spec, args.out or "wigner")
-        elif args.command == "gaussian-check":
-            truncation = 14 if args.truncation is None else args.truncation
-            cmd_gaussian_check(args.squeezing, truncation, args.tol, args.out)
+            config = _protocol_config(args, steps=max(args.wigner_steps), mode_count=1)
+            cmd_wigner(config, args.wigner_steps, args.wigner, args.out)
+        else:
+            cmd_gaussian_check(args.squeezing, args.truncation, args.tol, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ToleranceBreach as exc:
         print(f"tolerance breach: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except (RareOutcomeError, np.linalg.LinAlgError, ValueError, OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (RareOutcomeError, np.linalg.LinAlgError, ValueError, OverflowError,
+            MemoryError) as exc:
+        print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -10,6 +10,7 @@ import pytest
 from gaussify import IdealVacuum, OnOff, HomodyneFilter, ProtocolConfig, WignerGrid, protocol, run
 from gaussify.cli import (
     ConfigError,
+    _build_parser,
     _config_keys,
     cmd_gaussian_check,
     cmd_run,
@@ -272,7 +273,7 @@ def test_main_config_errors_exit_one(tmp_path, capsys):
     assert main(["sweep-eta", "--sweep-eta", "0.1:x:3"]) == 1
     assert main(["wigner", "--wigner=-4:4:-4:4:n"]) == 1
     assert main(["wigner", "--wigner=-4:4:-4:4:21", "--wigner-steps", "0,a"]) == 1
-    assert main(["run", "--jobs", "0"]) == 1
+    assert main(["sweep-eta", "--sweep-eta", "0.5", "--jobs", "0"]) == 1
     # the whole grid rule (here the spacing <= 1) is checked before any step runs
     assert main(["wigner", "--wigner=-4:4:-4:4:5"]) == 1
     # NaN passes every "< 0" check; non-finite numbers are rejected with the ranges
@@ -306,6 +307,25 @@ def test_main_config_errors_exit_one(tmp_path, capsys):
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("configuration error:") and path in line
+
+
+def test_cutoff_too_large_to_allocate_is_a_numerical_failure(monkeypatch, capsys):
+    """A splitter build that runs out of memory (a stand-in that allocates
+    nothing) exits 2 with one line, not a traceback."""
+    big = "Unable to allocate 7.28 TiB"
+    for error, message in ((MemoryError(big), big), (MemoryError(), "MemoryError")):
+        def unaffordable(d, _error=error):
+            raise _error
+
+        protocol._balanced_splitter.cache_clear()
+        monkeypatch.setattr(protocol, "beamsplitter_unitary", unaffordable)
+        try:
+            assert main(["run", "--steps", "1", "--truncation", "4"]) == 2
+        finally:
+            protocol._balanced_splitter.cache_clear()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {message}\n"
 
 
 def test_main_numerical_failure_exits_two(capsys):
@@ -350,8 +370,7 @@ CONFIG_CASES = {
     "jobs": (["sweep-eta", "--sweep-eta", "0.5,1", "--steps", "1", "--truncation", "4"], "2"),
     "out": (["run", "--steps", "1", "--truncation", "4"], "{tmp}/o.csv"),
     "sweep_eta": (["sweep-eta", "--steps", "1", "--truncation", "4"], "0.5,1"),
-    "wigner": (["wigner", "--steps", "1", "--truncation", "4", "--out", "{tmp}/w"],
-               "-2:2:-2:2:5"),
+    "wigner": (["wigner", "--truncation", "4", "--out", "{tmp}/w"], "-2:2:-2:2:5"),
     "wigner_steps": (["wigner", "--truncation", "4", "--wigner=-2:2:-2:2:5", "--out", "{tmp}/w"],
                      "1"),
     "squeezing": (["gaussian-check", "--truncation", "8"], "0.3"),
@@ -387,6 +406,10 @@ def test_config_key_is_the_flag_it_spells(key, tmp_path, capsys):
 def test_config_keys_come_from_the_parser():
     assert set(_config_keys()) == set(CONFIG_CASES)
     assert "config" not in _config_keys() and "help" not in _config_keys()
+    assert sorted(_config_keys()) == [
+        "detector", "epsilon", "jobs", "max_truncation", "out", "single_mode", "squeezing",
+        "steps", "sweep_eta", "tol", "truncation", "wigner", "wigner_steps",
+    ]
 
 
 def test_config_file_key_of_another_command_is_rejected(tmp_path, capsys):
@@ -418,6 +441,97 @@ def test_main_flags_override_config_file(tmp_path, capsys):
     assert "# steps = 1" in text
     _, rows = _data_rows(text)
     assert len(rows) == 2
+
+
+# ---------------------------------------------------------------- per-subcommand flags
+
+ACCEPTED_FLAGS = {
+    "run": {"--config", "--out", "--epsilon", "--steps", "--truncation", "--max-truncation",
+            "--detector", "--single-mode"},
+    "sweep-eta": {"--config", "--out", "--epsilon", "--steps", "--truncation", "--sweep-eta",
+                  "--jobs"},
+    "wigner": {"--config", "--out", "--epsilon", "--truncation", "--max-truncation", "--detector",
+               "--wigner", "--wigner-steps"},
+    "gaussian-check": {"--config", "--out", "--squeezing", "--truncation", "--tol"},
+}
+
+# a cheap command per subcommand that succeeds, and a valid value per flag
+BASE_ARGV = {
+    "run": ["run", "--steps", "1", "--truncation", "4"],
+    "sweep-eta": ["sweep-eta", "--sweep-eta", "0.5", "--steps", "1", "--truncation", "4"],
+    "wigner": ["wigner", "--wigner=-2:2:-2:2:5", "--wigner-steps", "1", "--truncation", "4"],
+    "gaussian-check": ["gaussian-check", "-r", "0.3", "--truncation", "8"],
+}
+FLAG_VALUES = {"--epsilon": "0.9", "--steps": "1", "--max-truncation": "20",
+               "--detector": "onoff:0.1", "--single-mode": None, "--jobs": "2"}
+# the flags every subcommand took from one shared parent, minus those it reads
+DROPPED = [(name, flag) for name, flags in ACCEPTED_FLAGS.items()
+           for flag in sorted(set(FLAG_VALUES) - flags)]
+
+
+def _long_flags(command):
+    return {s for a in command._actions for s in a.option_strings if s.startswith("--")}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    commands = _build_parser().commands
+    assert set(commands) == set(ACCEPTED_FLAGS)
+    for name, command in commands.items():
+        assert _long_flags(command) - {"--help"} == ACCEPTED_FLAGS[name], name
+    assert sum(len(_long_flags(c) - {"--help"}) for c in commands.values()) == 28
+    assert len(DROPPED) == 13
+
+
+@pytest.mark.parametrize("name, flag", DROPPED, ids=[f"{n}{f}" for n, f in DROPPED])
+def test_a_flag_the_subcommand_does_not_read_is_rejected(name, flag, tmp_path, capsys):
+    argv = BASE_ARGV[name] + ["--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    value = FLAG_VALUES[flag]
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {'true' if value is None else value}\n")
+    for extra in ([flag] if value is None else [flag, value], ["--config", str(cfg)]):
+        assert main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("configuration error:") and flag in line
+
+
+def test_sweep_header_records_what_ran(tmp_path):
+    path = tmp_path / "sweep.csv"
+    assert main(["sweep-eta", "--sweep-eta", "0.5", "--steps", "2", "--truncation", "5",
+                 "--out", str(path)]) == 0
+    header = dict(line[2:].split(" = ", 1) for line in path.read_text().splitlines()
+                  if " = " in line)
+    assert list(header) == ["epsilon", "truncation", "single_mode", "leak_threshold",
+                            "sweep_eta", "long_steps", "initial_log_negativity",
+                            "bs_convention", "log_base", "detector_policy"]
+    assert (header["truncation"], header["sweep_eta"], header["long_steps"]) == ("5", "0.5", "2")
+
+
+def test_defaults_that_differ_by_subcommand_live_on_its_own_action(tmp_path, capsys,
+                                                                  monkeypatch):
+    commands = _build_parser().commands
+    bare = {name: command.parse_args([]) for name, command in commands.items()}
+    assert (bare["run"].steps, bare["sweep-eta"].steps) == (0, 10)
+    assert (bare["run"].truncation, bare["gaussian-check"].truncation) == (None, 14)
+    assert (bare["run"].out, bare["wigner"].out) == (None, "wigner")
+    helps = {name: {a.dest: a.help for a in c._actions} for name, c in commands.items()}
+    assert "default 10" in helps["sweep-eta"]["steps"] and ">= 1" in helps["sweep-eta"]["steps"]
+    assert "default 0" in helps["run"]["steps"]
+    assert helps["gaussian-check"]["truncation"] == "per-mode cutoff (>= 8; default 14)"
+    assert "<out>_step<k>.csv (default wigner)" in helps["wigner"]["out"]
+    for command in commands.values():
+        command.format_help()
+    # --jobs is checked by its converter, before any work
+    assert main(["sweep-eta", "--sweep-eta", "0.5", "--jobs", "0"]) == 1
+    assert "argument --jobs: jobs must be >= 1" in capsys.readouterr().err
+    # the wigner default prefix writes files, not stdout
+    monkeypatch.chdir(tmp_path)
+    assert main(["wigner", "--wigner=-2:2:-2:2:5", "--wigner-steps", "1", "--truncation", "4"]) == 0
+    assert capsys.readouterr().out == "" and (tmp_path / "wigner_step1.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,9 @@ entries were off by up to 5.5e-14 at d <= 16, which put three leak cells
 beyond the 1e-15 bound below; even an exact splitter misses the old vacuum
 step-4 leak by 4e-15. The ten ``gaussianity`` cells of ``run_onoff.csv``
 were re-recorded again when the fidelity moved to square-root factors (by
-<= 6e-6 relative, toward a 40-digit reference). Header lines and data cells must match, numbers
+<= 6e-6 relative, toward a 40-digit reference). ``sweep_eta.csv`` lost its
+``steps``, ``max_truncation`` and ``detector`` header lines when sweep-eta
+stopped taking those options; its data rows did not move. Header lines and data cells must match, numbers
 within a per-column tolerance:
 
 - p, E_N, purity, sweep and check values: 1e-10 relative;
