@@ -95,19 +95,13 @@ def detector_label(detector) -> str:
     return f"homodyne:{_fmt(detector.radius)}"
 
 
-def _config_keys() -> dict:
-    """Every subcommand option's dest mapped to its default, read from the
-    parser by parsing each bare subcommand; ``config`` is not a key."""
-    return {key: value for command in _build_parser().commands.values()
-            for key, value in vars(command.parse_args([])).items() if key != "config"}
+def parse_config_file(path: str, command: str) -> list[str]:
+    """The flags a flat key = value configuration file spells for ``command``.
 
-
-def parse_config_file(path: str) -> dict:
-    """Flat key = value configuration; unknown keys are rejected.
-
-    Keys are the option dests of any subcommand. A switch (an option whose
-    default is False) takes true/false or 1/0 and reads as a bool; every
-    other value is kept as its text, for the parser to convert.
+    A key is the dest of a flag that ``command`` reads (its _COMMANDS entry);
+    its line is --key=value, underscores as dashes, the value kept as text for
+    the parser to convert. A switch (a store_true option) takes true/false or
+    1/0: a true one is the bare flag, a false one none.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -116,8 +110,8 @@ def parse_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    keys = _config_keys()
-    values = {}
+    reads = {f.replace("-", "_"): f for f in _COMMANDS[command][1].split() if f != "config"}
+    flags = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -126,14 +120,16 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in keys:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if keys[key] is False:
+        name = reads.get(key)
+        if name is None:
+            raise ConfigError(f"{path}:{lineno}: {command} takes no --{key.replace('_', '-')}")
+        if _OPTIONS[name].get("action") == "store_true":
             if value.lower() not in ("true", "false", "1", "0"):
                 raise ConfigError(f"{path}:{lineno}: {key} must be true/false, got {value!r}")
-            value = value.lower() in ("true", "1")
-        values[key] = value
-    return values
+            flags[key] = "--" + name if value.lower() in ("true", "1") else None
+        else:
+            flags[key] = f"--{name}={value}"
+    return [flag for flag in flags.values() if flag]
 
 
 def parse_sweep_spec(text: str) -> list[float]:
@@ -221,23 +217,21 @@ def cmd_run(config: ProtocolConfig, out_path=None) -> str:
     return _write_csv(_config_pairs(config), lines, out_path)
 
 
-def cmd_sweep_eta(
-    config: ProtocolConfig, etas, long_steps: int = 10, jobs: int = 1, out_path=None
-) -> str:
-    """Final log-negativity after 1 and after ``long_steps`` on/off-detector
+def cmd_sweep_eta(config: ProtocolConfig, etas, *, jobs: int = 1, out_path=None) -> str:
+    """Final log-negativity after 1 and after ``config.steps`` on/off-detector
     steps for each efficiency, plus the initial-state reference value.
 
     Sweep points run at fixed truncation (no adaptive growth) so every
     efficiency sees the same basis.
     """
+    long_steps = config.steps
     if long_steps < 1:
         raise ConfigError("sweep-eta needs steps >= 1")
     if config.mode_count != 2:
         raise ConfigError("sweep-eta requires a two-mode configuration")
 
     def _point(eta: float):
-        cfg = replace(config, steps=long_steps, max_truncation=config.truncation,
-                      detector=OnOff(eta))
+        cfg = replace(config, max_truncation=config.truncation, detector=OnOff(eta))
         return run(cfg).records
 
     if jobs > 1:
@@ -247,7 +241,7 @@ def cmd_sweep_eta(
         results = [_point(eta) for eta in etas]
 
     reference = results[0][0].log_negativity
-    # each point ran OnOff(eta) for long_steps at cap = cutoff, not the config's values
+    # each point ran OnOff(eta) at cap = cutoff, not the config's values
     pairs = [p for p in _config_pairs(config)
              if p[0] not in ("steps", "max_truncation", "detector")] + [
         ("sweep_eta", ",".join(_fmt(float(e)) for e in etas)),
@@ -412,15 +406,12 @@ def _build_parser() -> _Parser:
 
 
 def _parse_args(parser: _Parser, argv: list[str]):
-    """Parse argv. A --config file's key = value lines are the flags they
-    spell, --key=value with underscores as dashes (a true switch is the bare
-    flag, a false one none); they go right after the subcommand, so the
-    explicit flags after them win."""
+    """Parse argv. A --config file's flags (parse_config_file) go right after
+    the subcommand, so the explicit flags after them win."""
     args = parser.parse_args(argv)
     if not args.config:
         return args
-    flags = ["--" + key.replace("_", "-") + ("" if value is True else f"={value}")
-             for key, value in parse_config_file(args.config).items() if value is not False]
+    flags = parse_config_file(args.config, args.command)
     at = argv.index(args.command) + 1
     return parser.parse_args([*argv[:at], *flags, *argv[at:]])
 
@@ -439,7 +430,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep-eta":
             if args.sweep_eta is None:
                 raise ConfigError("sweep-eta requires --sweep-eta")
-            cmd_sweep_eta(_protocol_config(args), args.sweep_eta, args.steps, args.jobs, args.out)
+            cmd_sweep_eta(_protocol_config(args), args.sweep_eta, jobs=args.jobs, out_path=args.out)
         elif args.command == "wigner":
             if args.wigner is None:
                 raise ConfigError("wigner requires --wigner xmin:xmax:pmin:pmax:n")

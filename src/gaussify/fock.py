@@ -264,23 +264,9 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         raise ValueError("keep must be nonempty")
     if any(m < 0 or m >= n for m in keep):
         raise ValueError(f"mode indices {keep} invalid for {n} modes")
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    ket = list(letters[:n])
-    bra = []
-    out = []
-    next_free = n
-    for m in range(n):
-        if m in keep:
-            bra.append(letters[next_free])
-            next_free += 1
-        else:
-            bra.append(ket[m])
-    for m in keep:
-        out.append(ket[m])
-    for m in keep:
-        out.append(bra[m])
-    spec = "".join(ket) + "".join(bra) + "->" + "".join(out)
-    reduced = np.einsum(spec, rho.tensor_view())
+    # integer-sublist einsum: ket axis m; bra axis m + n if kept, m (traced) if not
+    bra = [m + n if m in keep else m for m in range(n)]
+    reduced = np.einsum(rho.tensor_view(), [*range(n), *bra], keep + [m + n for m in keep])
     new_dims = rho.dims.restricted(keep)
     return DensityOperator(new_dims, reduced.reshape(new_dims.size, new_dims.size))
 

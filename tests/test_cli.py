@@ -10,8 +10,8 @@ import pytest
 from gaussify import IdealVacuum, OnOff, HomodyneFilter, ProtocolConfig, WignerGrid, protocol, run
 from gaussify.cli import (
     ConfigError,
+    _COMMANDS,
     _build_parser,
-    _config_keys,
     cmd_gaussian_check,
     cmd_run,
     cmd_sweep_eta,
@@ -64,16 +64,22 @@ def test_config_file_round_trip(tmp_path):
         "# comment\nepsilon = 0.9\nsteps = 3\ntruncation = 6\n"
         "detector = onoff:0.8\nsingle_mode = false\n"
     )
-    values = parse_config_file(str(path))
-    assert values["epsilon"] == "0.9"
-    assert values["detector"] == "onoff:0.8"
+    # each line is the flag it spells; a false switch is no flag
+    assert parse_config_file(str(path), "run") == [
+        "--epsilon=0.9", "--steps=3", "--truncation=6", "--detector=onoff:0.8"]
+    path.write_text("single_mode = true\nsingle_mode = 0\nsteps = 1\nsteps = 2\n")
+    assert parse_config_file(str(path), "run") == ["--steps=2"]
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("epsilom = 0.9\n")
-    with pytest.raises(ConfigError):
-        parse_config_file(str(path))
+    path.write_text("# comment\nepsilom = 0.9\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: run takes no --epsilom$"):
+        parse_config_file(str(path), "run")
+    for key in ("config", "single-mode", "r"):
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match="run takes no"):
+            parse_config_file(str(path), "run")
 
 
 # ---------------------------------------------------------------- run command
@@ -123,7 +129,7 @@ def test_blind_run_final_negativity_below_initial():
 
 def test_sweep_matches_ideal_run_at_unit_efficiency():
     cfg = ProtocolConfig(steps=10, epsilon=0.95, truncation=6)
-    text = cmd_sweep_eta(cfg, [0.5, 1.0], long_steps=10, jobs=2)
+    text = cmd_sweep_eta(cfg, [0.5, 1.0], jobs=2)
     header, rows = _data_rows(text)
     assert header == "eta,steps,log_negativity,initial_log_negativity"
     assert len(rows) == 4
@@ -142,13 +148,13 @@ def test_sweep_matches_ideal_run_at_unit_efficiency():
 def test_sweep_is_deterministic_under_parallelism():
     cfg = ProtocolConfig(steps=4, epsilon=0.95, truncation=5)
     etas = [0.3, 0.6, 0.9]
-    serial = cmd_sweep_eta(cfg, etas, 4, jobs=1)
+    serial = cmd_sweep_eta(cfg, etas, jobs=1)
     # the threads race to fill the shared splitter cache
     protocol._balanced_splitter.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert cmd_sweep_eta(cfg, etas, 4, jobs=3) == serial
+        assert cmd_sweep_eta(cfg, etas, jobs=3) == serial
     finally:
         sys.setswitchinterval(interval)
 
@@ -225,7 +231,7 @@ def test_metrics_are_computed_only_when_read(tmp_path, monkeypatch):
     assert calls == {"logarithmic_negativity": 0, "purity": 0, "gaussianity_distance": 1}
 
     calls.update(dict.fromkeys(names, 0))
-    cmd_sweep_eta(ProtocolConfig(steps=3, epsilon=0.95, truncation=5), [0.3, 0.6, 0.9], 3)
+    cmd_sweep_eta(ProtocolConfig(steps=3, epsilon=0.95, truncation=5), [0.3, 0.6, 0.9])
     # E_N after 1 and 3 steps per point, plus the initial-state reference
     assert calls == {"logarithmic_negativity": 2 * 3 + 1, "purity": 0, "gaussianity_distance": 0}
 
@@ -388,7 +394,12 @@ def _cli_output(argv, tmp_path, capsys):
     return code, capsys.readouterr().out, files
 
 
-@pytest.mark.parametrize("key", sorted(_config_keys()))
+# every config key: the dest of a flag some subcommand reads, --config aside
+CONFIG_KEYS = sorted({f.replace("-", "_") for _, flags, _ in _COMMANDS.values()
+                      for f in flags.split()} - {"config"})
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
 def test_config_key_is_the_flag_it_spells(key, tmp_path, capsys):
     argv, value = CONFIG_CASES[key]
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -404,9 +415,13 @@ def test_config_key_is_the_flag_it_spells(key, tmp_path, capsys):
 
 
 def test_config_keys_come_from_the_parser():
-    assert set(_config_keys()) == set(CONFIG_CASES)
-    assert "config" not in _config_keys() and "help" not in _config_keys()
-    assert sorted(_config_keys()) == [
+    assert set(CONFIG_KEYS) == set(CONFIG_CASES)
+    # each subcommand's keys are the dests of its parser's options
+    for name, command in _build_parser().commands.items():
+        dests = {a.dest for a in command._actions} - {"help", "config"}
+        assert dests == {k for k in CONFIG_KEYS if f"--{k.replace('_', '-')}"
+                         in ACCEPTED_FLAGS[name]}, name
+    assert CONFIG_KEYS == [
         "detector", "epsilon", "jobs", "max_truncation", "out", "single_mode", "squeezing",
         "steps", "sweep_eta", "tol", "truncation", "wigner", "wigner_steps",
     ]
@@ -421,6 +436,20 @@ def test_config_file_key_of_another_command_is_rejected(tmp_path, capsys):
     path.write_text("steps = abc\n")
     assert main(["run", "--config", str(path)]) == 1
     assert "argument --steps: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_config_file_key_the_subcommand_does_not_read_names_file_and_line(tmp_path, capsys):
+    """A key that another subcommand reads, but this one does not, is one
+    error naming the file, the line, the subcommand and the flag."""
+    path = tmp_path / "c.cfg"
+    for text, lineno in (("detector = onoff:0.1\n", 1),
+                         ("# sweep\nsteps = 2\n\ndetector = onoff:0.1\n", 4)):
+        path.write_text(text)
+        assert main(["sweep-eta", "--sweep-eta", "0.5", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == f"configuration error: {path}:{lineno}: sweep-eta takes no --detector"
 
 
 def test_config_file_false_switch_adds_no_flag(tmp_path, capsys):
