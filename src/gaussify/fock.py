@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 # Validation tolerances; comfortably above double-precision noise for the
 # matrix sizes handled here (up to ~1300 x 1300).
@@ -309,22 +308,32 @@ def beamsplitter_unitary(dim: int, transmissivity: float = 0.5) -> np.ndarray:
     return u.reshape(dim * dim, dim * dim).T.astype(complex, order="C")
 
 
+def _expm_antihermitian(gen: np.ndarray) -> np.ndarray:
+    """exp(gen) for anti-Hermitian gen, as V exp(-iw) V+ from the Hermitian
+    eigen-decomposition i gen = V diag(w) V+."""
+    w, V = np.linalg.eigh(1j * gen)
+    return (V * np.exp(-1j * w)) @ V.conj().T
+
+
 def squeezer_unitary(dim: int, s: float) -> np.ndarray:
     """Single-mode squeezer exp((s/2)(a^2 - a+^2)) via the truncated generator.
 
     Exactly unitary on the truncated space; faithful to the untruncated
-    squeezer on low-photon subspaces.
+    squeezer on low-photon subspaces. Exponentiated from the Hermitian
+    eigen-decomposition of i times the generator, which is real, so the
+    product's imaginary rounding is dropped: the complex128 result is real.
     """
     a = destroy(dim)
     gen = 0.5 * s * (a @ a - (a @ a).conj().T)
-    return expm(gen)
+    return _expm_antihermitian(gen).real.astype(complex)
 
 
 def displacement_unitary(dim: int, alpha: complex) -> np.ndarray:
-    """Single-mode displacement exp(alpha a+ - conj(alpha) a) via the truncated generator."""
+    """Single-mode displacement exp(alpha a+ - conj(alpha) a) via the truncated
+    generator, exponentiated from the Hermitian eigen-decomposition of i times it."""
     a = destroy(dim)
     gen = alpha * a.conj().T - np.conj(alpha) * a
-    return expm(gen)
+    return _expm_antihermitian(gen)
 
 
 def _apply_to_axes(tensor_arr: np.ndarray, op_tensor: np.ndarray, axes, k: int) -> np.ndarray:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .fock import (
     DensityOperator,
@@ -279,7 +278,11 @@ def covariance_of_state(state) -> GaussianState:
 def williamson(gamma: np.ndarray):
     """Williamson normal form: gamma = S diag(nu_1, nu_1, ...) S^T with S symplectic.
 
-    Returns (nu, S); requires gamma symmetric positive definite.
+    Returns (nu, S); requires gamma symmetric positive definite. The real
+    Schur form of A = gamma^-1/2 Omega gamma^-1/2 comes from the Hermitian
+    eigen-decomposition of iA: an eigenpair (tau > 0, x + iy) has A y = -tau x
+    and A x = tau y, so the orthonormal columns sqrt(2) (y, x) carry the block
+    [[0, tau], [-tau, 0]], and nu = 1/tau, also when nu is degenerate.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = gamma.shape[0] // 2
@@ -291,15 +294,12 @@ def williamson(gamma: np.ndarray):
     sqrt_g = (V * np.sqrt(w)) @ V.T
     inv_sqrt_g = (V / np.sqrt(w)) @ V.T
     A = inv_sqrt_g @ symplectic_form(n) @ inv_sqrt_g
-    A = (A - A.T) / 2
-    T, Q = schur(A)
-    for i in range(n):
-        if T[2 * i, 2 * i + 1] < 0:
-            Q[:, [2 * i, 2 * i + 1]] = Q[:, [2 * i + 1, 2 * i]]
-            T[2 * i, 2 * i + 1] = -T[2 * i, 2 * i + 1]
-    nu = np.array([1.0 / T[2 * i, 2 * i + 1] for i in range(n)])
-    D_inv_sqrt = np.diag(np.repeat(1.0 / np.sqrt(nu), 2))
-    S = sqrt_g @ Q @ D_inv_sqrt
+    tau, Z = np.linalg.eigh(0.5j * (A - A.T))
+    tau, Z = tau[n:], Z[:, n:]  # eigenvalues come in pairs +-tau, ascending
+    Q = np.empty((2 * n, 2 * n))
+    Q[:, 0::2], Q[:, 1::2] = math.sqrt(2) * Z.imag, math.sqrt(2) * Z.real
+    nu = 1.0 / tau
+    S = sqrt_g @ Q * np.repeat(np.sqrt(tau), 2)
     return nu, S
 
 
@@ -332,6 +332,9 @@ def _gibbs_root(gs: GaussianState, dims, rows: np.ndarray) -> np.ndarray:
     beta = np.log((nu + 1.0) / (nu - 1.0))
     S_inv = np.linalg.inv(S)
     G = S_inv.T @ np.diag(np.repeat(beta, 2)) @ S_inv
+    # A real state's x-p entries of G are zero; williamson's eigenvectors leave
+    # rounding there, which would double the terms of H below.
+    G[np.abs(G) < 1e-14 * np.abs(G).max()] = 0.0
     # H's entries at every block entry, as products of one-mode pieces. The
     # pieces are formed two levels above the cutoff and cut afterwards;
     # truncated-operator products would corrupt the top Fock level.

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammainc
 
 from .fock import DensityOperator, PureState, coherent_ket
 
@@ -107,6 +106,8 @@ def filter_operator(dim: int, x: float) -> np.ndarray:
     (regularized lower incomplete gamma); F(0) = 1 - exp(-x^2), and F -> I
     as x -> infinity.
     """
+    from scipy.special import gammainc  # here: the CLI starts on numpy alone
+
     if not x > 0.0:
         raise ValueError(f"filter radius must be positive, got {x}")
     return np.diag(gammainc(np.arange(1, dim + 1, dtype=float), x * x)).astype(complex)

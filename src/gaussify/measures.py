@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .fock import PureState, _partition
 from .gaussian import _gibbs_root, covariance_of_state
@@ -137,6 +136,8 @@ def wigner(state, x_range, p_range, resolution) -> WignerGrid:
     W = (1/pi) sum (2 - delta_mn) (-1)^n Re(h_nm <m|D(beta)|n>), where
     <m|D(beta)|n> = sqrt(n!/m!) beta^(m-n) exp(-|beta|^2/2) L_n^(m-n)(|beta|^2).
     """
+    from scipy.special import eval_genlaguerre, gammaln  # here: the CLI starts on numpy alone
+
     rho = state.to_density() if isinstance(state, PureState) else state
     if rho.n_modes != 1:
         raise ValueError("Wigner grids are computed for single-mode states")

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -579,3 +580,54 @@ def test_blas_defaults_to_one_thread_unless_a_count_is_set(preset, expected):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == expected
+
+
+
+_SCIPY_MODULES = """
+import json, sys
+from gaussify.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(json.dumps(scipy_modules()))
+for argv in ARGVS:
+    assert main(argv) == 0, argv
+print(json.dumps(scipy_modules()))
+"""
+
+
+@pytest.mark.parametrize(
+    "argvs, loads_special",
+    [
+        (
+            [
+                ["run", "--epsilon", "0.95", "--steps", "10", "--truncation", "6"],
+                ["run", "--epsilon", "0.95", "--steps", "10", "--detector", "onoff:0.6"],
+                ["run", "--epsilon", "0.95", "--steps", "3", "--single-mode", "--detector", "onoff:0.6"],
+                ["sweep-eta", "--sweep-eta", "0.1:1.0:10", "--truncation", "6", "--jobs", "2"],
+                ["gaussian-check", "-r", "0.4", "--truncation", "14"],
+            ],
+            False,
+        ),
+        ([["run", "--epsilon", "0.95", "--steps", "3", "--detector", "homodyne:1.5"]], True),
+        ([["wigner", "--epsilon", "0.95", "--wigner=-4:4:-4:4:21", "--wigner-steps", "0,1"]], True),
+    ],
+    ids=["readme-commands", "homodyne", "wigner"],
+)
+def test_cli_starts_without_scipy(argvs, loads_special, tmp_path):
+    """Importing the CLI loads no scipy module, and neither do the README's
+    run, sweep-eta and gaussian-check commands. Homodyne effects and Wigner
+    grids load scipy.special on first use; no command loads scipy.linalg."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argvs = [argv + ["--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(argvs)]
+    done = subprocess.run([sys.executable, "-c", f"ARGVS = {argvs!r}\n" + _SCIPY_MODULES],
+                          env=env, capture_output=True, text=True, check=True, timeout=300)
+    on_import, after = map(json.loads, done.stdout.splitlines())
+    assert on_import == []
+    if loads_special:
+        assert "scipy.special" in after and "scipy.linalg" not in after
+    else:
+        assert after == []

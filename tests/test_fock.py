@@ -318,6 +318,21 @@ def test_displacement_inverse_on_low_levels():
     assert np.max(np.abs(prod[:10, :10] - np.eye(d)[:10, :10])) < 1e-12
 
 
+@pytest.mark.parametrize("d", [8, 24])
+def test_unitaries_match_scipy_expm(d):
+    """The eigen-decomposition exponentials agree with scipy's Pade expm."""
+    from scipy.linalg import expm
+
+    a = fock.destroy(d)
+    for alpha in (2.0, -2j, 1.2 - 1.6j, 0.3 + 0.1j, 2 * np.exp(0.7j)):
+        ref = expm(alpha * a.conj().T - np.conj(alpha) * a)
+        assert np.max(np.abs(displacement_unitary(d, alpha) - ref)) < 1e-13
+    for s in (1.0, -1.0, 0.37, -0.6):
+        S = squeezer_unitary(d, s)
+        assert not np.any(S.imag)
+        assert np.max(np.abs(S - expm(0.5 * s * (a @ a - a.T @ a.T)))) < 1e-13
+
+
 # ---------------------------------------------------------------- apply_unitary
 
 

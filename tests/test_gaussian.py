@@ -32,6 +32,7 @@ from gaussify import (
     williamson,
 )
 from gaussify.fock import destroy
+from gaussify.gaussian import _gibbs_root
 from gaussify.measurements import vacuum_effect
 
 RNG = np.random.default_rng(2024)
@@ -244,6 +245,37 @@ def test_williamson_of_thermal_state():
     nu, S = williamson(np.diag([3.0, 3.0]))
     assert abs(nu[0] - 3.0) < 1e-12
     assert np.max(np.abs(S @ S.T - np.eye(2))) < 1e-12
+
+
+def test_williamson_of_degenerate_spectra():
+    """nu_1 = nu_2: the eigenvectors of one degenerate eigenvalue still give a
+    symplectic S."""
+    lossy = 0.7 * two_mode_squeezed(0.6).gamma + 0.3 * np.eye(4)
+    a, c = lossy[0, 0], lossy[0, 2]
+    for gamma, nu_expected in ((3.0 * np.eye(4), 3.0), (lossy, math.sqrt(a * a - c * c))):
+        nu, S = williamson(gamma)
+        omega = symplectic_form(2)
+        assert np.max(np.abs(nu - nu_expected)) < 1e-12
+        assert np.max(np.abs(S @ omega @ S.T - omega)) < 1e-12
+        assert np.max(np.abs(S @ np.diag(np.repeat(nu, 2)) @ S.T - gamma)) < 1e-12
+
+
+def test_gibbs_root_of_degenerate_thermal_state():
+    """3 I on two modes: a product of geometric distributions with mean photon
+    number (nu - 1)/2 = 1, truncated and renormalised."""
+    d = 6
+    K = _gibbs_root(GaussianState(3.0 * np.eye(4), np.zeros(4)), (d, d), np.arange(d * d)[None])[0]
+    p = 0.5 ** np.arange(d)
+    want = np.diag(np.outer(p, p).ravel() / np.sum(p) ** 2)
+    assert np.max(np.abs(K @ K.conj().T - want)) < 1e-12
+
+
+def test_gibbs_root_of_a_covariance_without_x_p_correlations_is_real():
+    """Every real state has zero x-p covariance entries; then G, and so H,
+    has none either, whatever rounding williamson's eigenvectors carry."""
+    gamma = 0.7 * two_mode_squeezed(0.6).gamma + 0.3 * np.eye(4)
+    K = _gibbs_root(GaussianState(gamma, np.zeros(4)), (8, 8), np.arange(64)[None])
+    assert not np.any(K.imag)
 
 
 def test_williamson_rejects_bad_input():
