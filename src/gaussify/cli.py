@@ -12,6 +12,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -391,9 +392,11 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     """One parser per subcommand, taking only the flags it reads. None shares
-    an action with another (as parents= would), so its own defaults stay its own."""
+    an action with another (as parents= would), so its own defaults stay its own.
+    Parsing leaves a parser as it was, so it is built once per process."""
     parser = _Parser(prog="gaussify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, own) in _COMMANDS.items():

@@ -7,6 +7,7 @@ radius x realized by heterodyne post-selection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -21,6 +22,9 @@ P_FLOOR = 1e-12
 # Effect eigenvalues at or below this count as zero, in condition_on and in
 # the step kernel alike, so a rank-one effect keeps pure states pure.
 EFFECT_TOL = 1e-12
+
+# Half the spacing of doubles at 1: a term below this fraction of a sum no longer moves it.
+_HALF_ULP = 2.0**-53
 
 
 class RareOutcomeError(RuntimeError):
@@ -102,15 +106,29 @@ def coherent_projector(dim: int, alpha: complex) -> np.ndarray:
 def filter_operator(dim: int, x: float) -> np.ndarray:
     """Integrated heterodyne acceptance effect over the disk |alpha| < x.
 
-    Diagonal in the number basis with entries F(n) = gammainc(n+1, x^2)
-    (regularized lower incomplete gamma); F(0) = 1 - exp(-x^2), and F -> I
-    as x -> infinity.
+    Diagonal in the number basis with entries F(n) = P(n+1, x^2), the
+    regularized lower incomplete gamma function: with y = x^2 and the Poisson
+    terms t_k = e^(-y) y^k / k! (from t_k = t_(k-1) y / k), F(n) is the tail
+    sum_(k>n) t_k where y < n + 1, summed from its smallest terms, and
+    1 - sum_(k<=n) t_k elsewhere, so neither side cancels. F(0) = 1 - exp(-y),
+    and F -> I as x -> infinity.
     """
-    from scipy.special import gammainc  # here: the CLI starts on numpy alone
-
     if not x > 0.0:
         raise ValueError(f"filter radius must be positive, got {x}")
-    return np.diag(gammainc(np.arange(1, dim + 1, dtype=float), x * x)).astype(complex)
+    y = x * x
+    terms = [math.exp(-y)]
+    while len(terms) <= dim:
+        terms.append(terms[-1] * y / len(terms))
+    # the tails are read where y < n + 1 <= dim: extend them until a term falls
+    # below one ulp of the smallest, sum_(k>=dim) t_k
+    smallest = terms[-1]
+    while y < dim and terms[-1] > _HALF_ULP * smallest:
+        terms.append(terms[-1] * y / len(terms))
+        smallest += terms[-1]
+    t = np.array(terms)
+    tails = np.cumsum(t[::-1])[::-1][1 : dim + 1]  # tails[n] = sum_(k>n) t_k
+    f = np.where(np.arange(1, dim + 1) > y, tails, 1.0 - np.cumsum(t[:dim]))
+    return np.diag(f).astype(complex)
 
 
 def success_effect(detector: DetectorModel, dim: int) -> np.ndarray:

@@ -125,6 +125,22 @@ def wigner_axes(x_range, p_range, resolution):
     return xs, ps
 
 
+def _laguerre(k: int, u: np.ndarray):
+    """L_0^k(u), L_1^k(u), ...: the generalised Laguerre polynomials of order
+    k >= 0, each a new array, from the three-term recurrence in n
+    (n+1) L_(n+1)^k = (2n+1+k-u) L_n^k - (n+k) L_(n-1)^k."""
+    prev, lag = np.zeros_like(u), np.ones_like(u)
+    n = 0
+    while True:
+        yield lag
+        nxt = (2 * n + 1 + k) - u
+        nxt *= lag
+        nxt -= (n + k) * prev
+        nxt /= n + 1
+        prev, lag = lag, nxt
+        n += 1
+
+
 def wigner(state, x_range, p_range, resolution) -> WignerGrid:
     """Wigner function of a single-mode state via the displaced-parity form.
 
@@ -135,9 +151,10 @@ def wigner(state, x_range, p_range, resolution) -> WignerGrid:
     pairs m >= n of h only, each folded with its Hermitian partner:
     W = (1/pi) sum (2 - delta_mn) (-1)^n Re(h_nm <m|D(beta)|n>), where
     <m|D(beta)|n> = sqrt(n!/m!) beta^(m-n) exp(-|beta|^2/2) L_n^(m-n)(|beta|^2).
+    The pairs are read off each diagonal k = m - n of h, up to its last
+    non-zero entry, with one Laguerre recurrence in n (`_laguerre`) per
+    diagonal; sqrt(n!/m!) and exp(-|beta|^2/2) beta^k are running products.
     """
-    from scipy.special import eval_genlaguerre, gammaln  # here: the CLI starts on numpy alone
-
     rho = state.to_density() if isinstance(state, PureState) else state
     if rho.n_modes != 1:
         raise ValueError("Wigner grids are computed for single-mode states")
@@ -145,14 +162,28 @@ def wigner(state, x_range, p_range, resolution) -> WignerGrid:
     X, P = np.meshgrid(xs, ps, indexing="ij")
     beta = np.sqrt(2.0) * (X + 1j * P)  # 2*alpha
     u = np.abs(beta) ** 2
-    env = np.exp(-u / 2)
     h = (rho.matrix + rho.matrix.conj().T) / 2
-    logf = gammaln(np.arange(1, len(h) + 1, dtype=float))
     w = np.zeros(u.shape)
-    for n, m in zip(*np.nonzero(np.triu(h))):
-        pref = (1 + (m > n)) * (-1) ** n * math.exp(0.5 * (logf[n] - logf[m]))
-        lag = eval_genlaguerre(n, m - n, u)
-        w += np.real(h[n, m] * (pref * beta ** (m - n) * env * lag))
+    env = np.exp(-u / 2).astype(complex)  # exp(-|beta|^2/2) beta^k
+    root_k = 1.0  # 1/sqrt(k!)
+    for k in range(len(h)):
+        if k:
+            env *= beta
+            root_k /= math.sqrt(k)
+        diag = np.diagonal(h, k)
+        support = np.flatnonzero(diag)
+        if not support.size:
+            continue
+        if not np.any(diag.imag):
+            diag = diag.real
+        total, root = 0.0, root_k  # root = sqrt(n!/(n+k)!)
+        for n, lag in zip(range(support[-1] + 1), _laguerre(k, u)):
+            if n:
+                root *= math.sqrt(n / (n + k))
+            if diag[n]:
+                total += ((-1) ** n * root * diag[n]) * lag
+        fold = 2.0 if k else 1.0
+        w += fold * (total * env.real if np.isrealobj(total) else (total * env).real)
     return WignerGrid(xs, ps, w / math.pi)
 
 

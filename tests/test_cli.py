@@ -453,6 +453,20 @@ def test_config_file_key_the_subcommand_does_not_read_names_file_and_line(tmp_pa
         assert line == f"configuration error: {path}:{lineno}: sweep-eta takes no --detector"
 
 
+def test_main_gives_the_same_output_when_called_again(tmp_path, capsys):
+    """The parser is built once per process; no call, with a config file or
+    without, leaves anything in it that changes the next call's output."""
+    assert _build_parser() is _build_parser()
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("detector = onoff:0.6\nsteps = 2\n")
+    flags = ["run", "--epsilon", "0.9", "--truncation", "4", "--steps", "2",
+             "--detector", "onoff:0.6"]
+    configured = ["run", "--epsilon", "0.9", "--truncation", "4", "--config", str(cfg)]
+    outputs = [_cli_output(argv, tmp_path, capsys) for argv in (flags, configured) * 2]
+    assert outputs[0][0] == 0 and outputs[0][1]
+    assert all(output == outputs[0] for output in outputs)
+
+
 def test_config_file_false_switch_adds_no_flag(tmp_path, capsys):
     path = tmp_path / "c.cfg"
     path.write_text("single_mode = 0\n")
@@ -587,8 +601,8 @@ _SCIPY_MODULES = """
 import json, sys
 from gaussify.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def scipy_modules():  # a None entry blocks an import; it is no loaded module
+    return sorted(m for m, mod in sys.modules.items() if mod and m.split(".")[0] == "scipy")
 
 print(json.dumps(scipy_modules()))
 for argv in ARGVS:
@@ -596,38 +610,44 @@ for argv in ARGVS:
 print(json.dumps(scipy_modules()))
 """
 
+_README_ARGVS = [
+    ["run", "--epsilon", "0.95", "--steps", "10", "--truncation", "6"],
+    ["run", "--epsilon", "0.95", "--steps", "10", "--detector", "onoff:0.6"],
+    ["run", "--epsilon", "0.95", "--steps", "3", "--single-mode", "--detector", "onoff:0.6"],
+    ["sweep-eta", "--sweep-eta", "0.1:1.0:10", "--truncation", "6", "--jobs", "2"],
+    ["gaussian-check", "-r", "0.4", "--truncation", "14"],
+]
+_HOMODYNE_ARGV = ["run", "--epsilon", "0.95", "--steps", "3", "--detector", "homodyne:1.5"]
+_WIGNER_ARGV = ["wigner", "--epsilon", "0.95", "--wigner=-4:4:-4:4:21", "--wigner-steps", "0,1"]
 
-@pytest.mark.parametrize(
-    "argvs, loads_special",
-    [
-        (
-            [
-                ["run", "--epsilon", "0.95", "--steps", "10", "--truncation", "6"],
-                ["run", "--epsilon", "0.95", "--steps", "10", "--detector", "onoff:0.6"],
-                ["run", "--epsilon", "0.95", "--steps", "3", "--single-mode", "--detector", "onoff:0.6"],
-                ["sweep-eta", "--sweep-eta", "0.1:1.0:10", "--truncation", "6", "--jobs", "2"],
-                ["gaussian-check", "-r", "0.4", "--truncation", "14"],
-            ],
-            False,
-        ),
-        ([["run", "--epsilon", "0.95", "--steps", "3", "--detector", "homodyne:1.5"]], True),
-        ([["wigner", "--epsilon", "0.95", "--wigner=-4:4:-4:4:21", "--wigner-steps", "0,1"]], True),
-    ],
-    ids=["readme-commands", "homodyne", "wigner"],
-)
-def test_cli_starts_without_scipy(argvs, loads_special, tmp_path):
-    """Importing the CLI loads no scipy module, and neither do the README's
-    run, sweep-eta and gaussian-check commands. Homodyne effects and Wigner
-    grids load scipy.special on first use; no command loads scipy.linalg."""
+
+def _run_in_fresh_interpreter(argvs, tmp_path, prelude=""):
+    """Run ``main`` on each argv (its output under tmp_path) in one new
+    interpreter; returns the scipy modules loaded on import and after all."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argvs = [argv + ["--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(argvs)]
-    done = subprocess.run([sys.executable, "-c", f"ARGVS = {argvs!r}\n" + _SCIPY_MODULES],
-                          env=env, capture_output=True, text=True, check=True, timeout=300)
-    on_import, after = map(json.loads, done.stdout.splitlines())
-    assert on_import == []
-    if loads_special:
-        assert "scipy.special" in after and "scipy.linalg" not in after
-    else:
-        assert after == []
+    code = prelude + f"ARGVS = {argvs!r}\n" + _SCIPY_MODULES
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+    return list(map(json.loads, done.stdout.splitlines()))
+
+
+@pytest.mark.parametrize(
+    "argvs",
+    [_README_ARGVS, [_HOMODYNE_ARGV], [_WIGNER_ARGV]],
+    ids=["readme-commands", "homodyne", "wigner"],
+)
+def test_cli_starts_without_scipy(argvs, tmp_path):
+    """Importing the CLI loads no scipy module, and neither does any command:
+    the README's run, sweep-eta and gaussian-check, a homodyne detector's
+    filter or a Wigner grid."""
+    assert _run_in_fresh_interpreter(argvs, tmp_path) == [[], []]
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    """With ``import scipy`` made to fail, every command still exits 0."""
+    argvs = [*_README_ARGVS, _HOMODYNE_ARGV, _WIGNER_ARGV]
+    blocked = "import sys\nsys.modules['scipy'] = None\n"
+    assert _run_in_fresh_interpreter(argvs, tmp_path, blocked) == [[], []]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -26,6 +27,7 @@ from gaussify import (
     vacuum,
     vacuum_effect,
 )
+from gaussify.measurements import EFFECT_TOL
 
 RNG = np.random.default_rng(1234)
 
@@ -141,6 +143,21 @@ def test_filter_entries_match_disk_quadrature():
             0.0, x, epsabs=1e-14,
         )
         assert abs(F[n] - val) < 1e-8
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0])
+def test_filter_entries_match_the_incomplete_gamma_to_full_precision(x):
+    """F(n) = P(n+1, x^2) against 40-digit mpmath, relative, at every cutoff
+    up to 60 and on both sides of the tail / complement split at x^2 = n + 1."""
+    with mpmath.workdps(40):
+        exact = [float(mpmath.gammainc(n + 1, 0, mpmath.mpf(x) ** 2, regularized=True))
+                 for n in range(60)]
+    for dim in range(1, 61):
+        F = np.diag(filter_operator(dim, x))
+        assert not np.any(F.imag)
+        for n in range(dim):
+            if exact[n] > EFFECT_TOL:
+                assert abs(F[n].real - exact[n]) <= 1e-14 * exact[n], (dim, n)
 
 
 def test_filter_entries_decrease_with_photon_number():
