@@ -51,6 +51,7 @@ from .measurements import (
     condition_on,
     filter_operator,
     no_click_effect,
+    success_diagonal,
     success_effect,
     vacuum_effect,
 )

@@ -74,22 +74,59 @@ class MeasurementOutcome:
     leak: float = 0.0
 
 
+def success_diagonal(detector: DetectorModel, dim: int) -> np.ndarray:
+    """The number-basis diagonal of a detector model's 'success' POVM element
+    on one mode, as a float64 vector; every built-in effect is diagonal.
+
+    - Ideal vacuum: the projector |0><0|, diagonal (1, 0, 0, ...).
+    - On/off at efficiency eta, no click under binomial loss: (1 - eta)^n. At
+      eta = 1 this is the vacuum projector; at eta = 0 the detector is blind
+      and the effect is the identity.
+    - Heterodyne acceptance over the disk |alpha| < x: F(n) = P(n+1, x^2),
+      the regularized lower incomplete gamma function. With y = x^2 and the
+      Poisson terms t_k = e^(-y) y^k / k! (from t_k = t_(k-1) y / k), F(n) is
+      the tail sum_(k>n) t_k where y < n + 1, summed from its smallest terms,
+      and 1 - sum_(k<=n) t_k elsewhere, so neither side cancels. F(0) = 1 -
+      exp(-y), and F -> 1 as x -> infinity.
+    """
+    if isinstance(detector, IdealVacuum):
+        e = np.zeros(dim)
+        e[0] = 1.0
+        return e
+    if isinstance(detector, OnOff):
+        return (1.0 - detector.eta) ** np.arange(dim)
+    if not isinstance(detector, HomodyneFilter):
+        raise TypeError(f"unknown detector model {detector!r}")
+    x = detector.radius
+    y = x * x
+    terms = [math.exp(-y)]
+    while len(terms) <= dim:
+        terms.append(terms[-1] * y / len(terms))
+    # the tails are read where y < n + 1 <= dim: extend them until a term falls
+    # below one ulp of the smallest, sum_(k>=dim) t_k
+    smallest = terms[-1]
+    while y < dim and terms[-1] > _HALF_ULP * smallest:
+        terms.append(terms[-1] * y / len(terms))
+        smallest += terms[-1]
+    t = np.array(terms)
+    tails = np.cumsum(t[::-1])[::-1][1 : dim + 1]  # tails[n] = sum_(k>n) t_k
+    return np.where(np.arange(1, dim + 1) > y, tails, 1.0 - np.cumsum(t[:dim]))
+
+
+def success_effect(detector: DetectorModel, dim: int) -> np.ndarray:
+    """The 'success' POVM element of a detector model on one mode, as a
+    complex matrix: the diagonal matrix of `success_diagonal`."""
+    return np.diag(success_diagonal(detector, dim)).astype(complex)
+
+
 def vacuum_effect(dim: int) -> np.ndarray:
     """Rank-one projector |0><0|."""
-    e = np.zeros((dim, dim), dtype=complex)
-    e[0, 0] = 1.0
-    return e
+    return success_effect(IdealVacuum(), dim)
 
 
 def no_click_effect(dim: int, eta: float) -> np.ndarray:
-    """No-click element of an on/off detector under binomial loss: sum_n (1-eta)^n |n><n|.
-
-    At eta = 1 this is the vacuum projector; at eta = 0 the detector is blind
-    and the effect is the identity.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    return np.diag((1.0 - eta) ** np.arange(dim)).astype(complex)
+    """No-click element of an on/off detector under binomial loss: sum_n (1-eta)^n |n><n|."""
+    return success_effect(OnOff(eta), dim)
 
 
 def coherent_projector(dim: int, alpha: complex) -> np.ndarray:
@@ -104,42 +141,9 @@ def coherent_projector(dim: int, alpha: complex) -> np.ndarray:
 
 
 def filter_operator(dim: int, x: float) -> np.ndarray:
-    """Integrated heterodyne acceptance effect over the disk |alpha| < x.
-
-    Diagonal in the number basis with entries F(n) = P(n+1, x^2), the
-    regularized lower incomplete gamma function: with y = x^2 and the Poisson
-    terms t_k = e^(-y) y^k / k! (from t_k = t_(k-1) y / k), F(n) is the tail
-    sum_(k>n) t_k where y < n + 1, summed from its smallest terms, and
-    1 - sum_(k<=n) t_k elsewhere, so neither side cancels. F(0) = 1 - exp(-y),
-    and F -> I as x -> infinity.
-    """
-    if not x > 0.0:
-        raise ValueError(f"filter radius must be positive, got {x}")
-    y = x * x
-    terms = [math.exp(-y)]
-    while len(terms) <= dim:
-        terms.append(terms[-1] * y / len(terms))
-    # the tails are read where y < n + 1 <= dim: extend them until a term falls
-    # below one ulp of the smallest, sum_(k>=dim) t_k
-    smallest = terms[-1]
-    while y < dim and terms[-1] > _HALF_ULP * smallest:
-        terms.append(terms[-1] * y / len(terms))
-        smallest += terms[-1]
-    t = np.array(terms)
-    tails = np.cumsum(t[::-1])[::-1][1 : dim + 1]  # tails[n] = sum_(k>n) t_k
-    f = np.where(np.arange(1, dim + 1) > y, tails, 1.0 - np.cumsum(t[:dim]))
-    return np.diag(f).astype(complex)
-
-
-def success_effect(detector: DetectorModel, dim: int) -> np.ndarray:
-    """The 'success' POVM element of a detector model on one mode."""
-    if isinstance(detector, IdealVacuum):
-        return vacuum_effect(dim)
-    if isinstance(detector, OnOff):
-        return no_click_effect(dim, detector.eta)
-    if isinstance(detector, HomodyneFilter):
-        return filter_operator(dim, detector.radius)
-    raise TypeError(f"unknown detector model {detector!r}")
+    """Integrated heterodyne acceptance effect over the disk |alpha| < x:
+    diagonal with entries P(n+1, x^2) (see `success_diagonal`); F -> I as x -> infinity."""
+    return success_effect(HomodyneFilter(x), dim)
 
 
 def _effect_spectrum(effect: np.ndarray):

@@ -40,7 +40,7 @@ from .measurements import (
     RareOutcomeError,
     _kraus_sum,
     _outcome,
-    success_effect,
+    success_diagonal,
 )
 
 DEFAULT_TRUNCATION = {1: 10, 2: 6}
@@ -177,7 +177,7 @@ def _party(detector: DetectorModel, d: int):
     """One party's beam splitter (see `_balanced_splitter`) and the diagonal e
     of its detector's success effect, with entries at or below EFFECT_TOL set
     to zero."""
-    e = np.real(np.diag(success_effect(detector, d)))
+    e = success_diagonal(detector, d)
     return _balanced_splitter(d), np.where(e > EFFECT_TOL, e, 0.0)
 
 
@@ -267,6 +267,17 @@ def _sector_contraction(rs: np.ndarray, party_a, party_b):
     its n_A - n_B sectors rs (see `_sectors`), as out[a, b, c, d] with c - a =
     d - b = kappa; both copies and both splitters conserve photon number, so
     output sector kappa collects copy-1 sector delta with copy-2 sector kappa - delta.
+
+    Two exact identities leave a quarter of the (kappa, delta) terms to compute:
+    - the output is Hermitian, so sector -kappa is the conjugate transpose of
+      sector kappa: only kappa = 0 ... d - 1 are computed, and each kappa > 0
+      block's conjugate is written to the mirrored slots out[a + kappa, b + kappa, a, b];
+    - the balanced splitter satisfies u[a, m, p, i] = (-1)^a u[a, m, i, p] (its
+      float64 entries to within a few ulps), so with diagonal effects the term
+      pairing copy-1 sector delta with copy-2 sector kappa - delta equals the
+      one pairing kappa - delta with delta: only delta >= kappa / 2 are
+      computed, each weighted 2 but the middle one, delta = kappa / 2.
+
     Also returns the trace after mixing, the sum over delta and (j, q) of
     (rs[delta]^T g_A[delta] rs[-delta]) * g_B[delta] with each kernel's `gram`.
     """
@@ -274,18 +285,23 @@ def _sector_contraction(rs: np.ndarray, party_a, party_b):
     kernel_a = _ShiftKernel(party_a)
     kernel_b = kernel_a if party_b is party_a else _ShiftKernel(party_b)
     out = np.zeros((d,) * 4, dtype=np.result_type(rs, kernel_a.weighted, kernel_b.weighted))
-    for kappa in range(1 - d, d):
-        kept = slice(max(0, -kappa), d - max(0, kappa))
-        lo, hi = max(1 - d, kappa + 1 - d), min(d - 1, kappa + d - 1)
+    for kappa in range(d):
+        kept = slice(0, d - kappa)
+        lo, hi = (kappa + 1) // 2, d - 1
         v = kernel_a.for_sector(kappa, kept, lo, hi)
         w = v if kernel_b is kernel_a else kernel_b.for_sector(kappa, kept, lo, hi)
-        first = rs[d - 1 + lo : d + hi]  # copy 1 in sector delta
+        twice = np.where(2 * np.arange(lo, hi + 1) == kappa, 1.0, 2.0)
+        first = rs[d - 1 + lo : d + hi] * twice[:, None, None]  # copy 1 in sector delta
         second = rs[d - 1 + kappa - hi : d + kappa - lo][::-1]  # copy 2 in kappa - delta
         # x[a, delta, j, q] = sum_ip first[delta, i, j] v[a, delta, i, p] second[delta, p, q]
         x = first.transpose(0, 2, 1) @ (v @ second)
         block = x.reshape(x.shape[0], -1) @ w.reshape(w.shape[0], -1).T
-        a = np.arange(kept.start, kept.stop)
+        if kappa == 0:
+            # the output's diagonal: each term is real, up to rounding on complex input
+            block = block.real
+        a = np.arange(d - kappa)
         out[a[:, None], a, a[:, None] + kappa, a + kappa] = block
+        out[a[:, None] + kappa, a + kappa, a[:, None], a] = block.conj()
     trace_after = np.sum((rs.transpose(0, 2, 1) @ kernel_a.gram @ rs[::-1]) * kernel_b.gram)
     return out.reshape(d * d, d * d), float(np.real(trace_after))
 

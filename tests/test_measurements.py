@@ -21,6 +21,7 @@ from gaussify import (
     no_click_effect,
     partial_trace,
     prepare_epsilon_state,
+    success_diagonal,
     success_effect,
     tensor,
     two_mode_squeezed_ket,
@@ -284,6 +285,21 @@ def test_success_effect_dispatch():
     assert np.allclose(success_effect(IdealVacuum(), 5), vacuum_effect(5))
     assert np.allclose(success_effect(OnOff(0.3), 5), no_click_effect(5, 0.3))
     assert np.allclose(success_effect(HomodyneFilter(0.4), 5), filter_operator(5, 0.4))
+
+
+@pytest.mark.parametrize(
+    "detector",
+    [IdealVacuum(), OnOff(0.0), OnOff(0.35), OnOff(0.6), OnOff(0.9), OnOff(1.0),
+     HomodyneFilter(0.001), HomodyneFilter(0.4), HomodyneFilter(1.5), HomodyneFilter(4.5)],
+    ids=repr,
+)
+def test_success_effect_is_the_diagonal_vector_the_step_reads(detector):
+    for d in range(1, 21):
+        e = success_diagonal(detector, d)
+        effect = success_effect(detector, d)
+        assert e.dtype == np.float64 and e.shape == (d,)
+        assert effect.dtype == complex and not np.any(effect - np.diag(np.diag(effect)))
+        assert np.array_equal(np.diag(effect).real, e) and not np.any(np.diag(effect).imag)
 
 
 def test_filter_conditioning_converges_to_vacuum_conditioning_quadratically():

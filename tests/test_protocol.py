@@ -302,7 +302,7 @@ def _iterate(detector, d, steps=2):
     [IdealVacuum(), OnOff(0.55), HomodyneFilter(0.4), HomodyneFilter(1.5)],
     ids=["vacuum", "onoff0.55", "homodyne0.4", "homodyne1.5"],
 )
-@pytest.mark.parametrize("d", range(4, 11))
+@pytest.mark.parametrize("d", range(2, 11))
 def test_sector_contraction_matches_dense_contraction(detector, d):
     rng = np.random.default_rng(d)
     party = protocol._party(detector, d)
@@ -316,6 +316,32 @@ def test_sector_contraction_matches_dense_contraction(detector, d):
         assert abs(p_sector - p_dense) < 1e-12
         assert np.max(np.abs(sector / p_sector - dense / p_dense)) < 1e-12
         assert abs(trace_sector - trace_dense) <= 1e-15
+
+
+@pytest.mark.parametrize("d", range(2, 25))
+def test_balanced_splitter_changes_sign_with_the_kept_level_under_a_copy_swap(d):
+    # u[a, m, p, i] = (-1)^a u[a, m, i, p]: the sector kernel folds the term
+    # pairing copy sectors (delta, kappa - delta) into (kappa - delta, delta).
+    # The recurrence builds the two input ports' columns apart, so from d = 10
+    # some entries differ in their last bits; about one rounding per level
+    u = protocol._balanced_splitter(d)
+    sign = (-1.0) ** np.arange(d)
+    deviation = np.max(np.abs(u.transpose(0, 1, 3, 2) - sign[:, None, None, None] * u))
+    assert deviation <= d * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 9])
+def test_sector_contraction_output_is_exactly_hermitian(d):
+    # only sectors kappa >= 0 are computed; kappa < 0 are their mirror images
+    rng = np.random.default_rng(200 + d)
+    onoff, homodyne = protocol._party(OnOff(0.55), d), protocol._party(HomodyneFilter(1.5), d)
+    rho = _random_sector_density(d, rng).matrix
+    for r in (rho, rho.real.copy()):
+        rs = fock._sectors(r.reshape(d, d, d, d))
+        for parties in ((onoff, onoff), (onoff, homodyne)):
+            out, _ = protocol._sector_contraction(rs, *parties)
+            assert out.dtype == r.dtype
+            assert np.array_equal(out, out.conj().T)
 
 
 def test_sector_contraction_serves_two_different_parties():
