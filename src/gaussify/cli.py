@@ -231,9 +231,11 @@ def cmd_sweep_eta(config: ProtocolConfig, etas, *, jobs: int = 1, out_path=None)
     if config.mode_count != 2:
         raise ConfigError("sweep-eta requires a two-mode configuration")
 
-    def _point(eta: float):
-        cfg = replace(config, max_truncation=config.truncation, detector=OnOff(eta))
-        return run(cfg).records
+    shown = sorted({1, long_steps})
+
+    def _point(eta: float) -> list[float]:
+        records = run(replace(config, max_truncation=config.truncation, detector=OnOff(eta))).records
+        return [records[steps].log_negativity for steps in shown]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -241,7 +243,8 @@ def cmd_sweep_eta(config: ProtocolConfig, etas, *, jobs: int = 1, out_path=None)
     else:
         results = [_point(eta) for eta in etas]
 
-    reference = results[0][0].log_negativity
+    # every point starts from the same state, the one a run of no steps records
+    reference = run(replace(config, steps=0)).records[0].log_negativity
     # each point ran OnOff(eta) at cap = cutoff, not the config's values
     pairs = [p for p in _config_pairs(config)
              if p[0] not in ("steps", "max_truncation", "detector")] + [
@@ -250,9 +253,8 @@ def cmd_sweep_eta(config: ProtocolConfig, etas, *, jobs: int = 1, out_path=None)
         ("initial_log_negativity", _fmt(reference)),
     ]
     lines = ["eta,steps,log_negativity,initial_log_negativity"]
-    for eta, records in zip(etas, results):
-        for steps in sorted({1, long_steps}):
-            log_neg = records[steps].log_negativity
+    for eta, log_negs in zip(etas, results):
+        for steps, log_neg in zip(shown, log_negs):
             lines.append(",".join([_fmt(float(eta)), str(steps), _fmt(log_neg), _fmt(reference)]))
     return _write_csv(pairs, lines, out_path)
 

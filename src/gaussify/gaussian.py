@@ -151,7 +151,8 @@ def apply_symplectic(gs: GaussianState, S) -> GaussianState:
     return GaussianState(S @ gs.gamma @ S.T, S @ gs.d)
 
 
-def _partition(gs: GaussianState, mode: int):
+def _schur_blocks(gs: GaussianState, mode: int):
+    """gamma's blocks A (the measured mode), B (the rest) and C (between), and d's two parts."""
     if mode < 0 or mode >= gs.n_modes:
         raise ValueError(f"mode {mode} invalid for {gs.n_modes} modes")
     m = 2 * mode
@@ -170,7 +171,7 @@ def vacuum_condition(gs: GaussianState, mode: int) -> GaussianState:
     The displacement update is the linear Gaussian conditioning toward the
     zero outcome: d' = d_rest - C^T (A + I)^-1 d_meas.
     """
-    A, B, C, d_m, d_r = _partition(gs, mode)
+    A, B, C, d_m, d_r = _schur_blocks(gs, mode)
     M = A + np.eye(2)
     if np.linalg.cond(M) > 1e12:
         raise ValueError("A + I is numerically singular; covariance input invalid")
@@ -185,7 +186,7 @@ def homodyne_condition(
     """Condition on a quadrature measurement of one mode (pseudo-inverse Schur update)."""
     if quadrature not in ("x", "p"):
         raise ValueError("quadrature must be 'x' or 'p'")
-    A, B, C, d_m, d_r = _partition(gs, mode)
+    A, B, C, d_m, d_r = _schur_blocks(gs, mode)
     pi = np.diag([1.0, 0.0]) if quadrature == "x" else np.diag([0.0, 1.0])
     pinv = np.linalg.pinv(pi @ A @ pi)
     e = pi @ np.array([outcome, outcome])

@@ -15,6 +15,7 @@ step whose party B has cutoff 1, splitter [[1]] and effect [1] (no detector).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Union
@@ -61,6 +62,12 @@ class ProtocolConfig:
     initial_state: Optional[Union[PureState, DensityOperator]] = None
 
     def __post_init__(self):
+        for name in ("steps", "truncation", "max_truncation"):  # 6.5 would truncate silently
+            value = getattr(self, name)
+            try:
+                setattr(self, name, value if value is None and name != "steps" else operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.mode_count not in (1, 2):
@@ -162,15 +169,60 @@ def prepare_photon_subtracted(r: float, t: float, d: int) -> MeasurementOutcome:
     return _outcome(FockDims((d, d)), _kraus_sum(kraus))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Splitter:
+    """The balanced beam splitter at one cutoff d in every form a step reads,
+    each array read-only, as every step at d shares them: u[a, m, i, p] (kept
+    a, measured m <- copy-1 i, copy-2 p), the float64 array its entries exactly
+    are, for the pure and dense contractions, and the sector contraction's
+    tables, built on its first use, so a cutoff only pure steps reach has none."""
+
+    def __init__(self, d: int):
+        self.d = d
+        self.u = _read_only(np.ascontiguousarray(beamsplitter_unitary(d).real).reshape(d, d, d, d))
+
+    @cached_property
+    def measured(self) -> np.ndarray:
+        """m[a, i, p] = i + p - a mod d, the one measured level photon-number conservation allows."""
+        n = np.arange(self.d)
+        return _read_only((n[:, None] + n - n[:, None, None]) % self.d)
+
+    @cached_property
+    def compact(self) -> np.ndarray:
+        """u[a, m, i, p] at m = measured[a, i, p], zero where the mod applies."""
+        n, m = np.arange(self.d), self.measured
+        allowed = m == n[:, None] + n - n[:, None, None]
+        return _read_only(np.where(allowed, self.u[n[:, None, None], m, n[:, None], n], 0))
+
+    @cached_property
+    def padded(self) -> np.ndarray:
+        """`compact` with d - 1 zero levels on both sides of i and p, so `shifted` is a strided view."""
+        d = self.d
+        padded = np.zeros((d, 3 * d - 2, 3 * d - 2))
+        padded[:, d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = self.compact
+        return _read_only(padded)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """g[delta, i, p] = (U^dagger U)[(i + delta, p - delta), (i, p)], all of U^dagger U."""
+        return _read_only(np.einsum("aip,adip->dip", self.compact, self.shifted(0, 1 - self.d, self.d - 1)))
+
+    def shifted(self, kappa: int, lo: int, hi: int) -> np.ndarray:
+        """u[a + kappa, m, i + delta, p + kappa - delta] at m = i + p - a, a < d - kappa, lo <= delta <= hi."""
+        d, (s0, s1, s2) = self.d, self.padded.strides
+        start = self.padded[kappa:, d - 1 + lo :, d - 1 + kappa - lo :]
+        shape = (d - kappa, hi - lo + 1, d, d)
+        return np.lib.stride_tricks.as_strided(start, shape, (s0, s1 - s2, s1, s2), writeable=False)
+
+
 @lru_cache(maxsize=2)
-def _balanced_splitter(d: int) -> np.ndarray:
-    """The balanced beam splitter u[a, m, i, p] (kept a, measured m <- copy-1
-    i, copy-2 p) at cutoff d, as the float64 array its entries exactly are.
-    Shared by every step, so read-only; an adaptive step touches cutoffs d and
-    d + 2, so two are held."""
-    u = np.ascontiguousarray(beamsplitter_unitary(d).real).reshape(d, d, d, d)
-    u.flags.writeable = False
-    return u
+def _balanced_splitter(d: int) -> _Splitter:
+    """The `_Splitter` every step at cutoff d shares; an adaptive step touches d and d + 2, so two are held."""
+    return _Splitter(d)
 
 
 def _party(detector: DetectorModel, d: int):
@@ -178,7 +230,7 @@ def _party(detector: DetectorModel, d: int):
     of its detector's success effect, with entries at or below EFFECT_TOL set
     to zero."""
     e = success_diagonal(detector, d)
-    return _balanced_splitter(d), np.where(e > EFFECT_TOL, e, 0.0)
+    return _balanced_splitter(d).u, np.where(e > EFFECT_TOL, e, 0.0)
 
 
 # Party B of the single-mode variant: cutoff 1, beam splitter [[1]] and effect
@@ -222,51 +274,15 @@ def _density_contraction(r: np.ndarray, party_a, party_b):
     return out.reshape(size, size), float(np.real(trace_after))
 
 
-class _ShiftKernel:
-    """One party's splitter-and-effect kernel per output sector kappa:
-
-        v[a, delta, i, p] = e_m u[a, m, i, p] conj(u[a + kappa, m, i + delta, p + kappa - delta])
-
-    with m = i + p - a, the only measured level photon-number conservation
-    allows. Only one kappa slice, O(d^4), is ever built. The kappa = 0 slice
-    with e_m = 1, summed over a, is `gram`: g[delta, i, p] = (U^dagger U)[(i +
-    delta, p - delta), (i, p)], all of U^dagger U, which conserves photon number.
-    """
-
-    def __init__(self, party):
-        u, e = party
-        d = e.size
-        n = np.arange(d)
-        m = n[:, None] + n - n[:, None, None]  # m[a, i, p]
-        ok = (m >= 0) & (m < d)
-        m = m % d
-        compact = np.where(ok, u[n[:, None, None], m, n[:, None], n], 0)  # u[a, m, i, p]
-        self.weighted = compact * np.where(ok, e[m], 0)
-        # conj(compact) with d - 1 zero levels on both sides of i and p, so every
-        # shifted read below is a strided view
-        self.padded = np.zeros((d, 3 * d - 2, 3 * d - 2), dtype=compact.dtype)
-        self.padded[:, d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = compact.conj()
-        self.gram = np.einsum("aip,adip->dip", compact, self._shifted(0, slice(0, d), 1 - d, d - 1))
-
-    def _shifted(self, kappa: int, kept: slice, lo: int, hi: int) -> np.ndarray:
-        """The conj(u[a + kappa, m, i + delta, p + kappa - delta]) factor of `for_sector`."""
-        d = self.padded.shape[0]
-        s0, s1, s2 = self.padded.strides
-        start = self.padded[kept.start + kappa :, d - 1 + lo :, d - 1 + kappa - lo :]
-        return np.lib.stride_tricks.as_strided(
-            start, (kept.stop - kept.start, hi - lo + 1, d, d), (s0, s1 - s2, s1, s2), writeable=False
-        )
-
-    def for_sector(self, kappa: int, kept: slice, lo: int, hi: int) -> np.ndarray:
-        """v[a, delta, i, p] for a in kept and delta in [lo, hi]."""
-        return self.weighted[kept, None] * self._shifted(kappa, kept, lo, hi)
-
-
-def _sector_contraction(rs: np.ndarray, party_a, party_b):
+def _sector_contraction(rs: np.ndarray, e_a: np.ndarray, e_b: np.ndarray):
     """The kept output of `_density_contraction` for a two-mode state held as
     its n_A - n_B sectors rs (see `_sectors`), as out[a, b, c, d] with c - a =
     d - b = kappa; both copies and both splitters conserve photon number, so
     output sector kappa collects copy-1 sector delta with copy-2 sector kappa - delta.
+
+    Both parties mix on the cutoff's `_Splitter`; each effect vector weights
+    its compact table once, and per kappa each party's O(d^4) kernel is
+    v[a, delta, i, p] = e_m u[a, m, i, p] u[a + kappa, m, i + delta, p + kappa - delta].
 
     Two exact identities leave a quarter of the (kappa, delta) terms to compute:
     - the output is Hermitian, so sector -kappa is the conjugate transpose of
@@ -279,17 +295,18 @@ def _sector_contraction(rs: np.ndarray, party_a, party_b):
       computed, each weighted 2 but the middle one, delta = kappa / 2.
 
     Also returns the trace after mixing, the sum over delta and (j, q) of
-    (rs[delta]^T g_A[delta] rs[-delta]) * g_B[delta] with each kernel's `gram`.
+    (rs[delta]^T g[delta] rs[-delta]) * g[delta] with the splitter's `gram`.
     """
     d = rs.shape[1]
-    kernel_a = _ShiftKernel(party_a)
-    kernel_b = kernel_a if party_b is party_a else _ShiftKernel(party_b)
-    out = np.zeros((d,) * 4, dtype=np.result_type(rs, kernel_a.weighted, kernel_b.weighted))
+    splitter = _balanced_splitter(d)
+    weighted_a = splitter.compact * e_a[splitter.measured]
+    weighted_b = weighted_a if e_b is e_a else splitter.compact * e_b[splitter.measured]
+    out = np.zeros((d,) * 4, dtype=np.result_type(rs, weighted_a, weighted_b))
     for kappa in range(d):
-        kept = slice(0, d - kappa)
         lo, hi = (kappa + 1) // 2, d - 1
-        v = kernel_a.for_sector(kappa, kept, lo, hi)
-        w = v if kernel_b is kernel_a else kernel_b.for_sector(kappa, kept, lo, hi)
+        shifted = splitter.shifted(kappa, lo, hi)
+        v = weighted_a[: d - kappa, None] * shifted
+        w = v if weighted_b is weighted_a else weighted_b[: d - kappa, None] * shifted
         twice = np.where(2 * np.arange(lo, hi + 1) == kappa, 1.0, 2.0)
         first = rs[d - 1 + lo : d + hi] * twice[:, None, None]  # copy 1 in sector delta
         second = rs[d - 1 + kappa - hi : d + kappa - lo][::-1]  # copy 2 in kappa - delta
@@ -302,7 +319,7 @@ def _sector_contraction(rs: np.ndarray, party_a, party_b):
         a = np.arange(d - kappa)
         out[a[:, None], a, a[:, None] + kappa, a + kappa] = block
         out[a[:, None] + kappa, a + kappa, a[:, None], a] = block.conj()
-    trace_after = np.sum((rs.transpose(0, 2, 1) @ kernel_a.gram @ rs[::-1]) * kernel_b.gram)
+    trace_after = np.sum((rs.transpose(0, 2, 1) @ splitter.gram @ rs[::-1]) * splitter.gram)
     return out.reshape(d * d, d * d), float(np.real(trace_after))
 
 
@@ -332,7 +349,7 @@ def _step(state, party_a, party_b) -> MeasurementOutcome:
         if rs is None:
             out, trace_after = _density_contraction(r, party_a, party_b)
         else:
-            out, trace_after = _sector_contraction(rs, party_a, party_b)
+            out, trace_after = _sector_contraction(rs, party_a[1], party_b[1])
     else:
         raise TypeError(f"unsupported state type {type(state)!r}")
     return _outcome(state.dims, out, max(0.0, 1.0 - trace_after))

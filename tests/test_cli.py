@@ -160,6 +160,25 @@ def test_sweep_is_deterministic_under_parallelism():
         sys.setswitchinterval(interval)
 
 
+def test_sweep_points_return_only_the_log_negativities_they_print():
+    # each point's E_N are computed in its worker and no state outlives its
+    # point; the initial state's reference is the one E_N of the main thread
+    import threading
+    from unittest import mock
+
+    from gaussify import measures
+
+    cfg = ProtocolConfig(steps=3, epsilon=0.95, truncation=5)
+    etas = [0.3, 0.6, 0.9]
+    threads, log_neg = [], measures.logarithmic_negativity
+    with mock.patch.object(measures, "logarithmic_negativity",
+                           side_effect=lambda s: threads.append(threading.current_thread()) or log_neg(s)):
+        parallel = cmd_sweep_eta(cfg, etas, jobs=2)
+    assert len(threads) == 1 + 2 * len(etas)
+    assert [t is threading.main_thread() for t in threads].count(True) == 1
+    assert parallel == cmd_sweep_eta(cfg, etas, jobs=1)
+
+
 def test_sweep_with_one_step_writes_one_row_per_efficiency(tmp_path):
     path = tmp_path / "sweep.csv"
     assert main(["sweep-eta", "--sweep-eta", "0.5", "--steps", "1", "--out", str(path)]) == 0

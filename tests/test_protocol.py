@@ -311,7 +311,7 @@ def test_sector_contraction_matches_dense_contraction(detector, d):
         rs = fock._sectors(r)
         assert rs is not None
         dense, trace_dense = protocol._density_contraction(r, party, party)
-        sector, trace_sector = protocol._sector_contraction(rs, party, party)
+        sector, trace_sector = protocol._sector_contraction(rs, party[1], party[1])
         p_dense, p_sector = np.trace(dense).real, np.trace(sector).real
         assert abs(p_sector - p_dense) < 1e-12
         assert np.max(np.abs(sector / p_sector - dense / p_dense)) < 1e-12
@@ -324,7 +324,7 @@ def test_balanced_splitter_changes_sign_with_the_kept_level_under_a_copy_swap(d)
     # pairing copy sectors (delta, kappa - delta) into (kappa - delta, delta).
     # The recurrence builds the two input ports' columns apart, so from d = 10
     # some entries differ in their last bits; about one rounding per level
-    u = protocol._balanced_splitter(d)
+    u = protocol._balanced_splitter(d).u
     sign = (-1.0) ** np.arange(d)
     deviation = np.max(np.abs(u.transpose(0, 1, 3, 2) - sign[:, None, None, None] * u))
     assert deviation <= d * np.finfo(float).eps
@@ -339,7 +339,7 @@ def test_sector_contraction_output_is_exactly_hermitian(d):
     for r in (rho, rho.real.copy()):
         rs = fock._sectors(r.reshape(d, d, d, d))
         for parties in ((onoff, onoff), (onoff, homodyne)):
-            out, _ = protocol._sector_contraction(rs, *parties)
+            out, _ = protocol._sector_contraction(rs, parties[0][1], parties[1][1])
             assert out.dtype == r.dtype
             assert np.array_equal(out, out.conj().T)
 
@@ -350,7 +350,7 @@ def test_sector_contraction_serves_two_different_parties():
     r = rho.matrix.reshape(d, d, d, d)
     party_a, party_b = protocol._party(OnOff(0.55), d), protocol._party(HomodyneFilter(1.5), d)
     dense, _ = protocol._density_contraction(r, party_a, party_b)
-    sector, _ = protocol._sector_contraction(fock._sectors(r), party_a, party_b)
+    sector, _ = protocol._sector_contraction(fock._sectors(r), party_a[1], party_b[1])
     assert np.max(np.abs(sector - dense)) < 1e-14
 
 
@@ -544,8 +544,12 @@ def test_real_and_complex_kernel_inputs_agree(d):
     rs = fock._sectors(r)
     psi = rng.normal(size=(d, d))
     psi /= np.linalg.norm(psi)
+
+    def sector(x, party_a, party_b):  # the sector kernel takes only the effects
+        return protocol._sector_contraction(x, party_a[1], party_b[1])
+
     for parties in ((onoff, onoff), (onoff, homodyne)):
-        for kernel, x in ((protocol._sector_contraction, rs), (protocol._density_contraction, r),
+        for kernel, x in ((sector, rs), (protocol._density_contraction, r),
                           (protocol._pure_contraction, psi)):
             real, trace_real = kernel(x, *parties)
             cplx, trace_cplx = kernel(x.astype(complex), *parties)
@@ -575,6 +579,68 @@ def test_phase_rotated_input_takes_the_complex_path_with_the_same_physics(detect
         assert abs(a.purity - b.purity) <= 1e-12
 
 
+class _PerStepKernel:
+    """The sector kernel as it was once built on every step, from one party's
+    splitter and effect: the oracle for the per-cutoff `protocol._Splitter`."""
+
+    def __init__(self, party):
+        u, e = party
+        d = e.size
+        n = np.arange(d)
+        m = n[:, None] + n - n[:, None, None]  # m[a, i, p]
+        ok = (m >= 0) & (m < d)
+        m = m % d
+        compact = np.where(ok, u[n[:, None, None], m, n[:, None], n], 0)  # u[a, m, i, p]
+        self.weighted = compact * np.where(ok, e[m], 0)
+        self.padded = np.zeros((d, 3 * d - 2, 3 * d - 2), dtype=compact.dtype)
+        self.padded[:, d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = compact.conj()
+        self.gram = np.einsum("aip,adip->dip", compact, self._shifted(0, slice(0, d), 1 - d, d - 1))
+
+    def _shifted(self, kappa, kept, lo, hi):
+        d = self.padded.shape[0]
+        s0, s1, s2 = self.padded.strides
+        start = self.padded[kept.start + kappa :, d - 1 + lo :, d - 1 + kappa - lo :]
+        return np.lib.stride_tricks.as_strided(
+            start, (kept.stop - kept.start, hi - lo + 1, d, d), (s0, s1 - s2, s1, s2), writeable=False
+        )
+
+    def for_sector(self, kappa, kept, lo, hi):
+        return self.weighted[kept, None] * self._shifted(kappa, kept, lo, hi)
+
+
+def _per_step_sector_contraction(rs, party_a, party_b):
+    """`protocol._sector_contraction` with both kernels built afresh for the call."""
+    d = rs.shape[1]
+    kernel_a = _PerStepKernel(party_a)
+    kernel_b = kernel_a if party_b is party_a else _PerStepKernel(party_b)
+    out = np.zeros((d,) * 4, dtype=np.result_type(rs, kernel_a.weighted, kernel_b.weighted))
+    for kappa in range(d):
+        kept = slice(0, d - kappa)
+        lo, hi = (kappa + 1) // 2, d - 1
+        v = kernel_a.for_sector(kappa, kept, lo, hi)
+        w = v if kernel_b is kernel_a else kernel_b.for_sector(kappa, kept, lo, hi)
+        twice = np.where(2 * np.arange(lo, hi + 1) == kappa, 1.0, 2.0)
+        first = rs[d - 1 + lo : d + hi] * twice[:, None, None]
+        second = rs[d - 1 + kappa - hi : d + kappa - lo][::-1]
+        x = first.transpose(0, 2, 1) @ (v @ second)
+        block = x.reshape(x.shape[0], -1) @ w.reshape(w.shape[0], -1).T
+        if kappa == 0:
+            block = block.real
+        a = np.arange(d - kappa)
+        out[a[:, None], a, a[:, None] + kappa, a + kappa] = block
+        out[a[:, None] + kappa, a + kappa, a[:, None], a] = block.conj()
+    trace_after = np.sum((rs.transpose(0, 2, 1) @ kernel_a.gram @ rs[::-1]) * kernel_b.gram)
+    return out.reshape(d * d, d * d), float(np.real(trace_after))
+
+
+def _recorded_splitters():
+    """A patch of protocol._balanced_splitter recording every object it returns."""
+    seen, cached = [], protocol._balanced_splitter
+    patch = mock.patch.object(protocol, "_balanced_splitter",
+                              side_effect=lambda d: seen.append(cached(d)) or seen[-1])
+    return seen, patch
+
+
 def test_steps_at_one_cutoff_share_one_read_only_splitter():
     splitters = []
     step = protocol._step
@@ -582,7 +648,7 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
                            side_effect=lambda s, a, b: splitters.append(a[0]) or step(s, a, b)):
         one_step(prepare_epsilon_state(0.9, 5), IdealVacuum())
         one_step(prepare_epsilon_state(0.5, 5).to_density(), OnOff(0.7))
-    assert splitters[0] is splitters[1]
+    assert splitters[0] is splitters[1] is protocol._balanced_splitter(5).u
     assert splitters[0].dtype == np.float64 and not splitters[0].flags.writeable
     with pytest.raises(ValueError):
         splitters[0][0, 0, 0, 0] = 2.0
@@ -598,6 +664,56 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
         protocol._party(OnOff(0.7), 5)
         protocol._party(IdealVacuum(), 5)
     assert built.call_count == 1
+
+    # sector steps under two detectors, and both parties of a mixed-party step,
+    # read one object per cutoff, whose sector tables the first of them builds
+    rho = _random_sector_density(5, RNG)
+    seen, recorded = _recorded_splitters()
+    with recorded:
+        one_step(rho, OnOff(0.7))
+        tables = dict(vars(seen[0]))
+        one_step(rho, HomodyneFilter(1.5))
+        protocol._step(rho, protocol._party(OnOff(0.7), 5), protocol._party(HomodyneFilter(1.5), 5))
+    assert len(seen) == 7 and all(s is seen[0] for s in seen)
+    assert set(tables) == {"d", "u", "measured", "compact", "padded", "gram"}
+    assert all(vars(seen[0])[name] is table for name, table in tables.items())
+    arrays = [t for t in tables.values() if isinstance(t, np.ndarray)]
+    assert len(arrays) == 5 and not any(t.flags.writeable for t in arrays)
+    assert not seen[0].shifted(1, 1, 4).flags.writeable
+
+    # runs that take no sector step build no sector tables: a vacuum run steps
+    # kets, a single-mode on/off run density states on the dense contraction
+    protocol._balanced_splitter.cache_clear()
+    seen, recorded = _recorded_splitters()
+    with recorded:
+        run(ProtocolConfig(steps=4, epsilon=0.95, truncation=6))
+        run(ProtocolConfig(steps=2, epsilon=0.95, mode_count=1, detector=OnOff(0.6)))
+    assert len(seen) >= 6 and all(set(vars(s)) == {"d", "u"} for s in seen)
+
+    # the per-cutoff tables give bitwise the per-step build's output and trace
+    rng = np.random.default_rng(22)
+    for d in range(2, 17):
+        onoff, homodyne = protocol._party(OnOff(0.6), d), protocol._party(HomodyneFilter(1.5), d)
+        rho = _random_sector_density(d, rng).matrix.reshape(d, d, d, d)
+        for r in (rho, rho.real.copy()):
+            rs = fock._sectors(r)
+            for party_a, party_b in ((onoff, homodyne), (onoff, onoff)):
+                out, trace = protocol._sector_contraction(rs, party_a[1], party_b[1])
+                oracle, oracle_trace = _per_step_sector_contraction(rs, party_a, party_b)
+                assert out.dtype == oracle.dtype and out.tobytes() == oracle.tobytes()
+                assert trace == oracle_trace
+
+
+def test_config_rejects_non_integral_sizes():
+    # a float cutoff would run truncated while the config reports it as given
+    for bad in (dict(truncation=6.5), dict(max_truncation=9.5), dict(steps=2.5), dict(steps=None),
+                dict(truncation=np.float64(6.0)), dict(steps="2")):
+        field = next(iter(bad))
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**{"steps": 2, **bad})
+    config = ProtocolConfig(steps=np.int64(2), truncation=np.int32(6), max_truncation=np.uint8(8))
+    assert (config.steps, config.truncation, config.max_truncation) == (2, 6, 8)
+    assert all(type(v) is int for v in (config.steps, config.truncation, config.max_truncation))
 
 
 @pytest.mark.parametrize("detector", [IdealVacuum(), OnOff(0.55), HomodyneFilter(0.4)])
