@@ -41,7 +41,7 @@ class FockDims:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_modes(self) -> int:

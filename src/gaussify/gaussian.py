@@ -219,6 +219,15 @@ def _quadrature_piece(d: int, js: tuple[int, ...], pad: int = 0) -> np.ndarray:
     return piece
 
 
+@functools.lru_cache(maxsize=None)
+def _moment_pieces(d: int) -> np.ndarray:
+    """The pieces of a mode's five moments x, p, xx, xp, pp at cutoff d,
+    stacked. Shared by every caller, so read-only."""
+    stack = np.stack([_quadrature_piece(d, js) for js in ((0,), (1,), (0, 0), (0, 1), (1, 1))])
+    stack.flags.writeable = False
+    return stack
+
+
 def covariance_of_state(state) -> GaussianState:
     """First moments and centered second-moment matrix of a Fock-space state.
 
@@ -229,6 +238,7 @@ def covariance_of_state(state) -> GaussianState:
     cross moments are read from its amplitudes. No full-space operator, and
     no projector of a ket, is built.
     """
+    dims = state.dims.dims
     if isinstance(state, PureState):
         psi = state.tensor_view()
 
@@ -246,33 +256,27 @@ def covariance_of_state(state) -> GaussianState:
             return partial_trace(state, [m]).matrix.T
 
         def cross(m, m2, qa, qb):  # sum over r[i, j, I, J] qa[I, i] qb[J, j], mode m first
-            r = partial_trace(state, [m, m2]).tensor_view()
+            r = state.tensor_view() if len(dims) == 2 else partial_trace(state, [m, m2]).tensor_view()
             t = np.tensordot(qa, r, axes=([1, 2], [2, 0]))  # t[a, j, J]
             return np.tensordot(t, qb, axes=([1, 2], [2, 1]))
 
     else:
         raise TypeError(f"unsupported state type {type(state)!r}")
 
-    def moment(rho_t, dm, js):  # Re tr[rho_m P] = Re sum(rho_m^T * P)
-        return np.real(np.sum(rho_t * _quadrature_piece(dm, js)))
-
-    dims = state.dims.dims
     n_q = 2 * len(dims)
     d = np.empty(n_q)
     second = np.empty((n_q, n_q))  # tr[rho R_j R_k] for j <= k
     for m, dm in enumerate(dims):
-        rho_t = reduced_t(m)
+        # Re tr[rho_m P] = Re sum(rho_m^T * P), one sum per piece
         x, p = 2 * m, 2 * m + 1
-        d[x], d[p] = moment(rho_t, dm, (x,)), moment(rho_t, dm, (p,))
-        for j, k in ((x, x), (x, p), (p, p)):
-            second[j, k] = moment(rho_t, dm, (j, k))
+        moments = np.real(np.sum(reduced_t(m) * _moment_pieces(dm), axis=(1, 2)))
+        d[x], d[p], second[x, x], second[x, p], second[p, p] = moments
         for m2 in range(m + 1, len(dims)):
-            qa, qb = (np.stack([_quadrature_piece(dims[k], (j,)) for j in (0, 1)]) for k in (m, m2))
+            qa, qb = _moment_pieces(dm)[:2], _moment_pieces(dims[m2])[:2]
             second[2 * m : 2 * m + 2, 2 * m2 : 2 * m2 + 2] = np.real(cross(m, m2, qa, qb))
+    j, k = np.triu_indices(n_q)  # the lower half of second is never written
     gamma = np.empty((n_q, n_q))
-    for j in range(n_q):
-        for k in range(j, n_q):
-            gamma[j, k] = gamma[k, j] = 2.0 * second[j, k] - 2.0 * d[j] * d[k]
+    gamma[j, k] = gamma[k, j] = 2.0 * second[j, k] - 2.0 * d[j] * d[k]
     return GaussianState(gamma, d)
 
 
@@ -311,6 +315,46 @@ def to_fock_density(gs: GaussianState, dims) -> DensityOperator:
     return DensityOperator(fd, K @ K.conj().T)
 
 
+class _Terms(dict):
+    """T[j, k][block, n, n'] = <rows[block, n]| R_j R_k |rows[block, n']>, the
+    entries of one term of H on every block, each read-only and built on its
+    first read as a product of one-mode pieces. The pieces are formed two
+    levels above the cutoff and cut afterwards; truncated-operator products
+    would corrupt the top Fock level."""
+
+    def __init__(self, dims: tuple[int, ...], rows: np.ndarray):
+        super().__init__()
+        self.dims = dims
+        self.kets = np.unravel_index(rows[:, :, None], dims)
+        self.bras = np.unravel_index(rows[:, None, :], dims)
+
+    def __missing__(self, jk):
+        pieces = (_quadrature_piece(d, tuple(q for q in jk if q // 2 == m), pad=2)
+                  for m, d in enumerate(self.dims))
+        term = functools.reduce(np.multiply, (p[i, i2] for p, i, i2 in zip(pieces, self.kets, self.bras)))
+        term.flags.writeable = False
+        self[jk] = term
+        return term
+
+
+# Terms of at most this many entries (64 kB, a sector state's blocks at cutoff
+# 16) are kept across calls; whole-space terms of large states are not.
+TERM_CACHE_ENTRIES = 4096
+
+
+def _hamiltonian_terms(dims: tuple[int, ...], rows: np.ndarray) -> _Terms:
+    """The terms of H on the blocks rows, shared across calls when small."""
+    if rows.size * rows.shape[1] > TERM_CACHE_ENTRIES:
+        return _Terms(dims, rows)
+    return _shared_terms(dims, rows.shape, rows.astype(np.intp).tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_terms(dims: tuple[int, ...], shape: tuple[int, int], rows: bytes) -> _Terms:
+    """`_Terms` per (dims, partition); eight hold the cutoffs an adaptive run visits."""
+    return _Terms(dims, np.frombuffer(rows, dtype=np.intp).reshape(shape))
+
+
 def _gibbs_root(gs: GaussianState, dims, rows: np.ndarray) -> np.ndarray:
     """Factors K[k], one per block rows[k] (see `fock._partition`), of exp(-H)
     restricted to the block, with H quadratic with covariance gamma: the blocks
@@ -319,7 +363,8 @@ def _gibbs_root(gs: GaussianState, dims, rows: np.ndarray) -> np.ndarray:
     so on one block this is the dense truncated Gibbs state. A displaced state
     is then displaced, on one block only. Symplectic eigenvalues are clipped at
     nu = 1; below 1 - NU_FLOOR they signal moments corrupted by truncation leak
-    and raise."""
+    and raise. H = sum 0.5 G[j, k] T[j, k] reads each term T[j, k] on the
+    blocks from `_hamiltonian_terms`, which builds it once per (dims, rows)."""
     fd = _as_dims(dims)
     if fd.n_modes != gs.n_modes:
         raise ValueError("mode count of dims does not match the Gaussian state")
@@ -336,17 +381,10 @@ def _gibbs_root(gs: GaussianState, dims, rows: np.ndarray) -> np.ndarray:
     # A real state's x-p entries of G are zero; williamson's eigenvectors leave
     # rounding there, which would double the terms of H below.
     G[np.abs(G) < 1e-14 * np.abs(G).max()] = 0.0
-    # H's entries at every block entry, as products of one-mode pieces. The
-    # pieces are formed two levels above the cutoff and cut afterwards;
-    # truncated-operator products would corrupt the top Fock level.
-    kets = np.unravel_index(rows[:, :, None], fd.dims)
-    bras = np.unravel_index(rows[:, None, :], fd.dims)
+    terms = _hamiltonian_terms(fd.dims, rows)
     H = 0
     for j, k in zip(*np.nonzero(G)):
-        pieces = (_quadrature_piece(d, tuple(q for q in (j, k) if q // 2 == m), pad=2)
-                  for m, d in enumerate(fd.dims))
-        entries = functools.reduce(np.multiply, (p[i, i2] for p, i, i2 in zip(pieces, kets, bras)))
-        H = H + 0.5 * G[j, k] * entries
+        H = H + 0.5 * G[j, k] * terms[j, k]
     w, v = np.linalg.eigh((H + H.conj().swapaxes(1, 2)) / 2)
     amps = np.exp(-(w - w.min()) / 2)
     K = v * (amps / np.linalg.norm(amps))[:, None, :]

@@ -211,6 +211,32 @@ class _Splitter:
         """g[delta, i, p] = (U^dagger U)[(i + delta, p - delta), (i, p)], all of U^dagger U."""
         return _read_only(np.einsum("aip,adip->dip", self.compact, self.shifted(0, 1 - self.d, self.d - 1)))
 
+    @cached_property
+    def plan(self) -> tuple:
+        """Per output sector kappa = 0 ... d - 1: (kappa, lo, hi, shifted(kappa, lo, hi),
+        the column weighting each copy-1 sector delta in lo ... hi by 2, or 1 at delta = kappa / 2)."""
+        plan = []
+        for kappa in range(self.d):
+            lo, hi = (kappa + 1) // 2, self.d - 1
+            twice = np.where(2 * np.arange(lo, hi + 1) == kappa, 1.0, 2.0)[:, None, None]
+            plan.append((kappa, lo, hi, self.shifted(kappa, lo, hi), _read_only(twice)))
+        return tuple(plan)
+
+    @cached_property
+    def scatter(self) -> tuple:
+        """Flat indices into out[a, b, c, d] of every block entry (a, b, a + kappa, b + kappa),
+        kappa = 0 ... d - 1 in turn, and of the mirrored entries (a + kappa, b + kappa, a, b)
+        of kappa >= 1, where the kappa = 0 block is its own mirror."""
+        d = self.d
+        block, mirror = [], []
+        for kappa in range(d):
+            a = np.arange(d - kappa)
+            kept, bra = a[:, None] * d + a, (a[:, None] + kappa) * d + a + kappa
+            block.append((kept * d * d + bra).ravel())
+            if kappa:
+                mirror.append((bra * d * d + kept).ravel())
+        return _read_only(np.concatenate(block)), _read_only(np.concatenate(mirror))
+
     def shifted(self, kappa: int, lo: int, hi: int) -> np.ndarray:
         """u[a + kappa, m, i + delta, p + kappa - delta] at m = i + p - a, a < d - kappa, lo <= delta <= hi."""
         d, (s0, s1, s2) = self.d, self.padded.strides
@@ -283,6 +309,10 @@ def _sector_contraction(rs: np.ndarray, e_a: np.ndarray, e_b: np.ndarray):
     Both parties mix on the cutoff's `_Splitter`; each effect vector weights
     its compact table once, and per kappa each party's O(d^4) kernel is
     v[a, delta, i, p] = e_m u[a, m, i, p] u[a + kappa, m, i + delta, p + kappa - delta].
+    What depends on the cutoff alone is built once per cutoff with the
+    splitter: the loop runs over its `plan` (each kappa's delta range, shifted
+    view and weights) and writes every block, and every mirrored block, with
+    one flat assignment each at its `scatter` indices.
 
     Two exact identities leave a quarter of the (kappa, delta) terms to compute:
     - the output is Hermitian, so sector -kappa is the conjugate transpose of
@@ -301,24 +331,22 @@ def _sector_contraction(rs: np.ndarray, e_a: np.ndarray, e_b: np.ndarray):
     splitter = _balanced_splitter(d)
     weighted_a = splitter.compact * e_a[splitter.measured]
     weighted_b = weighted_a if e_b is e_a else splitter.compact * e_b[splitter.measured]
-    out = np.zeros((d,) * 4, dtype=np.result_type(rs, weighted_a, weighted_b))
-    for kappa in range(d):
-        lo, hi = (kappa + 1) // 2, d - 1
-        shifted = splitter.shifted(kappa, lo, hi)
+    blocks = []
+    for kappa, lo, hi, shifted, twice in splitter.plan:
         v = weighted_a[: d - kappa, None] * shifted
         w = v if weighted_b is weighted_a else weighted_b[: d - kappa, None] * shifted
-        twice = np.where(2 * np.arange(lo, hi + 1) == kappa, 1.0, 2.0)
-        first = rs[d - 1 + lo : d + hi] * twice[:, None, None]  # copy 1 in sector delta
+        first = rs[d - 1 + lo : d + hi] * twice  # copy 1 in sector delta
         second = rs[d - 1 + kappa - hi : d + kappa - lo][::-1]  # copy 2 in kappa - delta
         # x[a, delta, j, q] = sum_ip first[delta, i, j] v[a, delta, i, p] second[delta, p, q]
         x = first.transpose(0, 2, 1) @ (v @ second)
         block = x.reshape(x.shape[0], -1) @ w.reshape(w.shape[0], -1).T
-        if kappa == 0:
-            # the output's diagonal: each term is real, up to rounding on complex input
-            block = block.real
-        a = np.arange(d - kappa)
-        out[a[:, None], a, a[:, None] + kappa, a + kappa] = block
-        out[a[:, None] + kappa, a + kappa, a[:, None], a] = block.conj()
+        # the output's diagonal (kappa = 0): each term is real, up to rounding on complex input
+        blocks.append((block.real if kappa == 0 else block).ravel())
+    values = np.concatenate(blocks)
+    block_at, mirror_at = splitter.scatter
+    out = np.zeros(d**4, dtype=np.result_type(rs, weighted_a, weighted_b))
+    out[block_at] = values
+    out[mirror_at] = values[d * d :].conj()
     trace_after = np.sum((rs.transpose(0, 2, 1) @ splitter.gram @ rs[::-1]) * splitter.gram)
     return out.reshape(d * d, d * d), float(np.real(trace_after))
 

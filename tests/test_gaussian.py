@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -31,9 +32,10 @@ from gaussify import (
     vacuum_condition,
     williamson,
 )
-from gaussify.fock import destroy
-from gaussify.gaussian import _gibbs_root
-from gaussify.measurements import vacuum_effect
+from gaussify import gaussian
+from gaussify.fock import _sector_rows, destroy, partial_trace, tensor
+from gaussify.gaussian import _gibbs_root, _quadrature_piece
+from gaussify.measurements import OnOff, vacuum_effect
 
 RNG = np.random.default_rng(2024)
 
@@ -388,6 +390,131 @@ def test_to_fock_density_matches_full_space_oracle(dims):
         gs = random_valid_state(len(dims), rng=rng, displaced=displaced)
         got = to_fock_density(gs, dims).matrix
         assert np.max(np.abs(got - full_space_fock_density(gs, dims))) < 1e-13
+
+
+# ---------------------------------------------------------------- per-call oracles
+
+
+def _per_call_covariance(state) -> GaussianState:
+    """`covariance_of_state` as it once was: one moment sum per piece, cross
+    moments of every density state from `partial_trace`, gamma entry by entry."""
+    dims = state.dims.dims
+    if isinstance(state, PureState):
+        psi = state.tensor_view()
+
+        def reduced_t(m):
+            M = np.moveaxis(psi, m, 0).reshape(psi.shape[m], -1)
+            return M.conj() @ M.T
+
+        def cross(m, m2, qa, qb):
+            M = np.moveaxis(psi, (m, m2), (0, 1)).reshape(psi.shape[m], psi.shape[m2], -1)
+            return np.einsum("ijr,aiI,bjJ,IJr->ab", M.conj(), qa, qb, M, optimize=True)
+
+    else:
+
+        def reduced_t(m):
+            return partial_trace(state, [m]).matrix.T
+
+        def cross(m, m2, qa, qb):
+            r = partial_trace(state, [m, m2]).tensor_view()
+            t = np.tensordot(qa, r, axes=([1, 2], [2, 0]))
+            return np.tensordot(t, qb, axes=([1, 2], [2, 1]))
+
+    def moment(rho_t, dm, js):
+        return np.real(np.sum(rho_t * _quadrature_piece(dm, js)))
+
+    n_q = 2 * len(dims)
+    d, second = np.empty(n_q), np.empty((n_q, n_q))
+    for m, dm in enumerate(dims):
+        rho_t = reduced_t(m)
+        x, p = 2 * m, 2 * m + 1
+        d[x], d[p] = moment(rho_t, dm, (x,)), moment(rho_t, dm, (p,))
+        for j, k in ((x, x), (x, p), (p, p)):
+            second[j, k] = moment(rho_t, dm, (j, k))
+        for m2 in range(m + 1, len(dims)):
+            qa, qb = (np.stack([_quadrature_piece(dims[k], (j,)) for j in (0, 1)]) for k in (m, m2))
+            second[2 * m : 2 * m + 2, 2 * m2 : 2 * m2 + 2] = np.real(cross(m, m2, qa, qb))
+    gamma = np.empty((n_q, n_q))
+    for j in range(n_q):
+        for k in range(j, n_q):
+            gamma[j, k] = gamma[k, j] = 2.0 * second[j, k] - 2.0 * d[j] * d[k]
+    return GaussianState(gamma, d)
+
+
+def _per_call_gibbs_root(gs, dims, rows):
+    """`_gibbs_root` with every term of H built afresh in the call, as it once was."""
+    nu, S = williamson(gs.gamma)
+    nu = np.clip(nu, 1.0 + 1e-12, None)
+    beta = np.log((nu + 1.0) / (nu - 1.0))
+    S_inv = np.linalg.inv(S)
+    G = S_inv.T @ np.diag(np.repeat(beta, 2)) @ S_inv
+    G[np.abs(G) < 1e-14 * np.abs(G).max()] = 0.0
+    kets = np.unravel_index(rows[:, :, None], dims)
+    bras = np.unravel_index(rows[:, None, :], dims)
+    H = 0
+    for j, k in zip(*np.nonzero(G)):
+        pieces = (_quadrature_piece(d, tuple(q for q in (j, k) if q // 2 == m), pad=2)
+                  for m, d in enumerate(dims))
+        entries = functools.reduce(np.multiply, (p[i, i2] for p, i, i2 in zip(pieces, kets, bras)))
+        H = H + 0.5 * G[j, k] * entries
+    w, v = np.linalg.eigh((H + H.conj().swapaxes(1, 2)) / 2)
+    amps = np.exp(-(w - w.min()) / 2)
+    K = v * (amps / np.linalg.norm(amps))[:, None, :]
+    if np.any(gs.d):
+        alphas = (gs.d[0::2] + 1j * gs.d[1::2]) / math.sqrt(2)
+        K = (tensor(*map(displacement_unitary, dims, alphas)) @ K[0])[None]
+    return K
+
+
+def _bitwise_equal(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(7,), (5, 5), (3, 4), (2, 3, 2)])
+def test_covariance_of_state_is_bitwise_the_partial_trace_formula(dims):
+    rng = np.random.default_rng(len(dims) * 10 + dims[0])
+    size = int(np.prod(dims))
+    states = []
+    for _ in range(3):
+        ket = PureState(dims, rng.normal(size=size) + 1j * rng.normal(size=size)).normalized()
+        A = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        states += [ket, ket.to_density(), DensityOperator(dims, A @ A.conj().T / np.trace(A @ A.conj().T))]
+    if dims == (5, 5):  # a sector iterate, the state the metrics see most
+        states.append(one_step(two_mode_squeezed_ket(0.6, 5).to_density(), OnOff(0.7)).conditional_state)
+    for state in states:
+        got, oracle = covariance_of_state(state), _per_call_covariance(state)
+        assert _bitwise_equal(got.gamma, oracle.gamma) and _bitwise_equal(got.d, oracle.d)
+
+
+def test_gibbs_root_is_bitwise_the_per_call_term_loop():
+    rng = np.random.default_rng(23)
+    cases = []
+    for d in range(2, 13):  # a sector state's d blocks, squeezed and lossy
+        rows = _sector_rows(d, False)
+        cases.append((random_valid_state(2, rng=rng, displaced=False), (d, d), rows))
+        cases.append((two_mode_squeezed(0.3 + 0.02 * d), (d, d), rows))
+    cases.append((random_valid_state(1, rng=rng, displaced=False), (12,), np.arange(12)[None]))
+    cases.append((random_valid_state(1, rng=rng, displaced=True), (12,), np.arange(12)[None]))
+    cases.append((random_valid_state(2, rng=rng, displaced=True), (4, 5), np.arange(20)[None]))
+    for _ in range(2):  # the second pass reads every term from the cache
+        for gs, dims, rows in cases:
+            assert _bitwise_equal(_gibbs_root(gs, dims, rows), _per_call_gibbs_root(gs, dims, rows))
+
+
+def test_hamiltonian_terms_are_read_only_and_kept_only_when_small():
+    rows = _sector_rows(6, False)
+    terms = gaussian._hamiltonian_terms((6, 6), rows)
+    assert terms is gaussian._hamiltonian_terms((6, 6), rows.copy())
+    assert terms is not gaussian._hamiltonian_terms((6, 6), _sector_rows(6, True))
+    term = terms[0, 2]
+    assert term is terms[0, 2] and not term.flags.writeable and term.shape == (6, 6, 6)
+    # every cutoff 6 ... 12 of a run stays held together
+    held = [gaussian._hamiltonian_terms((d, d), _sector_rows(d, False)) for d in (6, 8, 10, 12)]
+    assert all(t is gaussian._hamiltonian_terms((d, d), _sector_rows(d, False))
+               for t, d in zip(held, (6, 8, 10, 12)))
+    # a whole-space table of a large state is built per call and never kept
+    whole = np.arange(400)[None]
+    assert gaussian._hamiltonian_terms((20, 20), whole) is not gaussian._hamiltonian_terms((20, 20), whole)
 
 
 def test_to_fock_density_rejects_unphysical_moments():

@@ -675,11 +675,24 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
         one_step(rho, HomodyneFilter(1.5))
         protocol._step(rho, protocol._party(OnOff(0.7), 5), protocol._party(HomodyneFilter(1.5), 5))
     assert len(seen) == 7 and all(s is seen[0] for s in seen)
-    assert set(tables) == {"d", "u", "measured", "compact", "padded", "gram"}
+    assert set(tables) == {"d", "u", "measured", "compact", "padded", "gram", "plan", "scatter"}
     assert all(vars(seen[0])[name] is table for name, table in tables.items())
     arrays = [t for t in tables.values() if isinstance(t, np.ndarray)]
     assert len(arrays) == 5 and not any(t.flags.writeable for t in arrays)
     assert not seen[0].shifted(1, 1, 4).flags.writeable
+    # the per-kappa plan and the scatter indices: built once, read-only, and
+    # each kappa's entry is the one the loop used to build per step
+    plan, scatter = tables["plan"], tables["scatter"]
+    assert len(plan) == 5 and len(scatter) == 2
+    assert not any(t.flags.writeable for entry in plan for t in entry[3:])
+    assert not any(t.flags.writeable for t in scatter)
+    for kappa, (k, lo, hi, shifted, twice) in enumerate(plan):
+        assert (k, lo, hi) == (kappa, (kappa + 1) // 2, 4)
+        assert np.array_equal(shifted, seen[0].shifted(kappa, lo, hi))
+        assert np.array_equal(twice.ravel(), np.where(2 * np.arange(lo, 5) == kappa, 1.0, 2.0))
+    block_at, mirror_at = scatter
+    assert block_at.size == 1 + 4 + 9 + 16 + 25 and mirror_at.size == block_at.size - 25
+    assert np.unique(np.concatenate(scatter)).size == block_at.size + mirror_at.size
 
     # runs that take no sector step build no sector tables: a vacuum run steps
     # kets, a single-mode on/off run density states on the dense contraction
