@@ -5,9 +5,11 @@ objects use row-major (C-order) flattening, so mode 0 is the slowest index
 and ``np.kron(A, B)`` composes mode 0 with mode 1.
 
 A two-mode state of equal cutoffs d with no weight outside the n_A - n_B
-sectors (a sector state) is stepped on its sectors (`_sectors`), and the
-metrics split it into d blocks of d states, each joining two sectors
-(`_partition`); any other state is one block.
+sectors (a sector state) is stepped on its sector form: `_sectors` gathers
+it, the step kernel maps it to the output's sector form, and `_from_sectors`
+places that in the dense matrix, both through the one `_sector_index`. The
+metrics split a sector state into d blocks of d states, each joining two
+sectors (`_partition`); any other state is one block.
 """
 
 from __future__ import annotations
@@ -394,30 +396,46 @@ def pad(state, new_dims):
     return DensityOperator(fd, out.reshape(fd.size, fd.size))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a shared table read-only and return it."""
+    a.flags.writeable = False
+    return a
+
+
 @functools.lru_cache(maxsize=None)
 def _sector_index(d: int):
-    """The gather of `_sectors` at cutoff d: indices into r[i, j, I, J] and the
-    mask of those inside the cutoff. Shared by every caller, so read-only."""
+    """Where the sector form at cutoff d sits in r: the mask of the entries
+    rs[d - 1 + delta, i, j] inside the cutoff, and their flat positions in
+    r[i, j, I, J], in the mask's order. Shared by every caller, so read-only."""
     n = np.arange(d)
     shift = np.arange(1 - d, d)[:, None, None]
     bra_a, bra_b = n[:, None] + shift, n + shift
     inside = (bra_a >= 0) & (bra_a < d) & (bra_b >= 0) & (bra_b < d)
-    index = (n[:, None], n, bra_a % d, bra_b % d)
-    for a in index + (inside,):
-        a.flags.writeable = False
-    return index, inside
+    at = ((n[:, None] * d + n) * d + bra_a) * d + bra_b
+    return _read_only(inside), _read_only(at[inside])
 
 
 def _sectors(r: np.ndarray) -> Optional[np.ndarray]:
-    """The compressed state rs[d - 1 + delta, i, j] = r[i, j, i + delta, j + delta]
+    """The sector form rs[d - 1 + delta, i, j] = r[i, j, i + delta, j + delta]
     (zero past the cutoff) for delta in [-(d-1), d-1] of a two-mode r[i, j, I, J]
     of equal cutoffs d, or None when r has weight outside these n_A - n_B sectors.
 
     This exact-zero test is the one definition of a sector state: the step
     kernel and the metrics both dispatch on it."""
-    index, inside = _sector_index(r.shape[0])
-    rs = np.where(inside, r[index], 0)
+    inside, at = _sector_index(r.shape[0])
+    rs = np.zeros(inside.shape, dtype=r.dtype)
+    rs[inside] = r.reshape(-1)[at]
     return rs if np.count_nonzero(rs) == np.count_nonzero(r) else None
+
+
+def _from_sectors(rs: np.ndarray) -> np.ndarray:
+    """The d^2 x d^2 matrix whose sector form (see `_sectors`) is rs, zero
+    outside the n_A - n_B sectors."""
+    d = rs.shape[1]
+    inside, at = _sector_index(d)
+    out = np.zeros(d**4, dtype=rs.dtype)
+    out[at] = rs[inside]
+    return out.reshape(d * d, d * d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -430,9 +448,7 @@ def _sector_rows(d: int, total: bool) -> np.ndarray:
     vanishes between blocks. Shared by every caller, so read-only."""
     n = np.arange(d)
     k = n[:, None]
-    rows = n * d + ((k - n) if total else (n - k)) % d
-    rows.flags.writeable = False
-    return rows
+    return _read_only(n * d + ((k - n) if total else (n - k)) % d)
 
 
 def _partition(*states, total: bool = False) -> np.ndarray:

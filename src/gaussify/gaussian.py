@@ -22,6 +22,7 @@ from .fock import (
     DensityOperator,
     PureState,
     _as_dims,
+    _read_only,
     destroy,
     displacement_unitary,
     partial_trace,
@@ -214,18 +215,14 @@ def _quadrature_piece(d: int, js: tuple[int, ...], pad: int = 0) -> np.ndarray:
     for j in js:
         r = a + a.conj().T if j % 2 == 0 else -1j * (a - a.conj().T)
         piece = piece @ (r / math.sqrt(2))
-    piece = piece[:d, :d]
-    piece.flags.writeable = False
-    return piece
+    return _read_only(piece[:d, :d])
 
 
 @functools.lru_cache(maxsize=None)
 def _moment_pieces(d: int) -> np.ndarray:
     """The pieces of a mode's five moments x, p, xx, xp, pp at cutoff d,
     stacked. Shared by every caller, so read-only."""
-    stack = np.stack([_quadrature_piece(d, js) for js in ((0,), (1,), (0, 0), (0, 1), (1, 1))])
-    stack.flags.writeable = False
-    return stack
+    return _read_only(np.stack([_quadrature_piece(d, js) for js in ((0,), (1,), (0, 0), (0, 1), (1, 1))]))
 
 
 def covariance_of_state(state) -> GaussianState:
@@ -332,8 +329,7 @@ class _Terms(dict):
         pieces = (_quadrature_piece(d, tuple(q for q in jk if q // 2 == m), pad=2)
                   for m, d in enumerate(self.dims))
         term = functools.reduce(np.multiply, (p[i, i2] for p, i, i2 in zip(pieces, self.kets, self.bras)))
-        term.flags.writeable = False
-        self[jk] = term
+        self[jk] = _read_only(term)
         return term
 
 

@@ -27,6 +27,8 @@ from .fock import (
     DensityOperator,
     FockDims,
     PureState,
+    _from_sectors,
+    _read_only,
     _sectors,
     beamsplitter_unitary,
     pad,
@@ -72,12 +74,9 @@ class ProtocolConfig:
             raise ValueError("steps must be >= 0")
         if self.mode_count not in (1, 2):
             raise ValueError("mode_count must be 1 or 2 per copy")
-        if not 0 <= self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and >= 0")
         if self.truncation is None:
             self.truncation = DEFAULT_TRUNCATION[self.mode_count]
-        if self.truncation < 2:
-            raise ValueError("truncation must be >= 2")
+        _check_input(self.epsilon, self.truncation)
         if self.max_truncation is None:
             self.max_truncation = max(self.truncation, DEFAULT_MAX_TRUNCATION[self.mode_count])
         if self.max_truncation < self.truncation:
@@ -128,12 +127,18 @@ class DistillationTrace:
         return self.records[-1].state
 
 
-def _epsilon_state(epsilon: float, d: int, n_modes: int) -> PureState:
-    """(|0...0> + epsilon |1...1>)/sqrt(1 + epsilon^2) on n_modes modes of cutoff d."""
+def _check_input(epsilon: float, d: int):
+    """Raise ValueError unless the input family's epsilon is finite and >= 0
+    and its cutoff d is at least 2, which |1...1> needs."""
     if not 0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and >= 0")
     if d < 2:
         raise ValueError("truncation must be >= 2")
+
+
+def _epsilon_state(epsilon: float, d: int, n_modes: int) -> PureState:
+    """(|0...0> + epsilon |1...1>)/sqrt(1 + epsilon^2) on n_modes modes of cutoff d."""
+    _check_input(epsilon, d)
     fd = FockDims((d,) * n_modes)
     amps = np.zeros(fd.size, dtype=complex)
     amps[0] = 1.0
@@ -167,11 +172,6 @@ def prepare_photon_subtracted(r: float, t: float, d: int) -> MeasurementOutcome:
     v = beamsplitter_unitary(d, transmissivity=t).reshape(d, d, d, d)[:, 1:, :, 0]
     kraus = np.einsum("ami,ij,bnj->abmn", v, psi, v, optimize=True).reshape(d * d, -1)
     return _outcome(FockDims((d, d)), _kraus_sum(kraus))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class _Splitter:
@@ -221,21 +221,6 @@ class _Splitter:
             twice = np.where(2 * np.arange(lo, hi + 1) == kappa, 1.0, 2.0)[:, None, None]
             plan.append((kappa, lo, hi, self.shifted(kappa, lo, hi), _read_only(twice)))
         return tuple(plan)
-
-    @cached_property
-    def scatter(self) -> tuple:
-        """Flat indices into out[a, b, c, d] of every block entry (a, b, a + kappa, b + kappa),
-        kappa = 0 ... d - 1 in turn, and of the mirrored entries (a + kappa, b + kappa, a, b)
-        of kappa >= 1, where the kappa = 0 block is its own mirror."""
-        d = self.d
-        block, mirror = [], []
-        for kappa in range(d):
-            a = np.arange(d - kappa)
-            kept, bra = a[:, None] * d + a, (a[:, None] + kappa) * d + a + kappa
-            block.append((kept * d * d + bra).ravel())
-            if kappa:
-                mirror.append((bra * d * d + kept).ravel())
-        return _read_only(np.concatenate(block)), _read_only(np.concatenate(mirror))
 
     def shifted(self, kappa: int, lo: int, hi: int) -> np.ndarray:
         """u[a + kappa, m, i + delta, p + kappa - delta] at m = i + p - a, a < d - kappa, lo <= delta <= hi."""
@@ -302,22 +287,22 @@ def _density_contraction(r: np.ndarray, party_a, party_b):
 
 def _sector_contraction(rs: np.ndarray, e_a: np.ndarray, e_b: np.ndarray):
     """The kept output of `_density_contraction` for a two-mode state held as
-    its n_A - n_B sectors rs (see `_sectors`), as out[a, b, c, d] with c - a =
-    d - b = kappa; both copies and both splitters conserve photon number, so
-    output sector kappa collects copy-1 sector delta with copy-2 sector kappa - delta.
+    its sector form rs (see `_sectors`), as the output's sector form, which
+    `fock._from_sectors` places in the dense matrix; both copies and both
+    splitters conserve photon number, so output sector kappa collects copy-1
+    sector delta with copy-2 sector kappa - delta.
 
     Both parties mix on the cutoff's `_Splitter`; each effect vector weights
     its compact table once, and per kappa each party's O(d^4) kernel is
     v[a, delta, i, p] = e_m u[a, m, i, p] u[a + kappa, m, i + delta, p + kappa - delta].
     What depends on the cutoff alone is built once per cutoff with the
     splitter: the loop runs over its `plan` (each kappa's delta range, shifted
-    view and weights) and writes every block, and every mirrored block, with
-    one flat assignment each at its `scatter` indices.
+    view and weights) and writes each block to slot d - 1 + kappa of the form.
 
     Two exact identities leave a quarter of the (kappa, delta) terms to compute:
     - the output is Hermitian, so sector -kappa is the conjugate transpose of
       sector kappa: only kappa = 0 ... d - 1 are computed, and each kappa > 0
-      block's conjugate is written to the mirrored slots out[a + kappa, b + kappa, a, b];
+      block's conjugate is written to slot d - 1 - kappa;
     - the balanced splitter satisfies u[a, m, p, i] = (-1)^a u[a, m, i, p] (its
       float64 entries to within a few ulps), so with diagonal effects the term
       pairing copy-1 sector delta with copy-2 sector kappa - delta equals the
@@ -331,7 +316,7 @@ def _sector_contraction(rs: np.ndarray, e_a: np.ndarray, e_b: np.ndarray):
     splitter = _balanced_splitter(d)
     weighted_a = splitter.compact * e_a[splitter.measured]
     weighted_b = weighted_a if e_b is e_a else splitter.compact * e_b[splitter.measured]
-    blocks = []
+    out = np.zeros(rs.shape, dtype=np.result_type(rs, weighted_a, weighted_b))
     for kappa, lo, hi, shifted, twice in splitter.plan:
         v = weighted_a[: d - kappa, None] * shifted
         w = v if weighted_b is weighted_a else weighted_b[: d - kappa, None] * shifted
@@ -340,15 +325,14 @@ def _sector_contraction(rs: np.ndarray, e_a: np.ndarray, e_b: np.ndarray):
         # x[a, delta, j, q] = sum_ip first[delta, i, j] v[a, delta, i, p] second[delta, p, q]
         x = first.transpose(0, 2, 1) @ (v @ second)
         block = x.reshape(x.shape[0], -1) @ w.reshape(w.shape[0], -1).T
-        # the output's diagonal (kappa = 0): each term is real, up to rounding on complex input
-        blocks.append((block.real if kappa == 0 else block).ravel())
-    values = np.concatenate(blocks)
-    block_at, mirror_at = splitter.scatter
-    out = np.zeros(d**4, dtype=np.result_type(rs, weighted_a, weighted_b))
-    out[block_at] = values
-    out[mirror_at] = values[d * d :].conj()
+        if kappa == 0:  # the output's diagonal: each term is real, up to rounding on complex input
+            block = block.real
+        # block[a, b] is out[a, b, a + kappa, b + kappa], its conjugate the mirror
+        # out[a + kappa, b + kappa, a, b]; the real kappa = 0 block is its own mirror
+        out[d - 1 + kappa, : d - kappa, : d - kappa] = block
+        out[d - 1 - kappa, kappa:, kappa:] = block.conj()
     trace_after = np.sum((rs.transpose(0, 2, 1) @ splitter.gram @ rs[::-1]) * splitter.gram)
-    return out.reshape(d * d, d * d), float(np.real(trace_after))
+    return out, float(np.real(trace_after))
 
 
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
@@ -377,7 +361,8 @@ def _step(state, party_a, party_b) -> MeasurementOutcome:
         if rs is None:
             out, trace_after = _density_contraction(r, party_a, party_b)
         else:
-            out, trace_after = _sector_contraction(rs, party_a[1], party_b[1])
+            out_rs, trace_after = _sector_contraction(rs, party_a[1], party_b[1])
+            out = _from_sectors(out_rs)
     else:
         raise TypeError(f"unsupported state type {type(state)!r}")
     return _outcome(state.dims, out, max(0.0, 1.0 - trace_after))

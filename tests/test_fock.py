@@ -6,6 +6,8 @@ import pytest
 from gaussify import (
     DensityOperator,
     FockDims,
+    OnOff,
+    ProtocolConfig,
     PureState,
     apply_unitary,
     beamsplitter_unitary,
@@ -13,6 +15,7 @@ from gaussify import (
     fock_ket,
     pad,
     partial_trace,
+    run,
     squeezer_unitary,
     tensor,
     vacuum,
@@ -470,3 +473,44 @@ def test_sector_rows_fold_two_sectors_into_each_of_d_blocks(total):
         k = np.arange(d)[:, None]
         label, other = (i + j, k + d) if total else (i - j, k - d)
         assert np.all((label == k) | (label == other))
+
+
+def _random_sector_matrix(d, rng):
+    """A random complex matrix r[i, j, I, J] that vanishes unless I - i = J - j."""
+    i, j, bra_a, bra_b = np.indices((d,) * 4)
+    r = rng.normal(size=(d,) * 4) + 1j * rng.normal(size=(d,) * 4)
+    return np.where(bra_a - i == bra_b - j, r, 0)
+
+
+def test_sector_form_round_trips_through_the_one_sector_index():
+    """`_sectors` gathers the sector form and `_from_sectors` places it back,
+    both through `_sector_index`'s mask and flat positions."""
+    rng = np.random.default_rng(24)
+    for d in range(1, 13):
+        cutoff = max(d, 2)  # an on/off iterate at d, cut from cutoff 2 at d = 1
+        onoff = run(ProtocolConfig(steps=3, epsilon=0.95, truncation=cutoff, max_truncation=cutoff,
+                                   detector=OnOff(0.6))).final_state
+        inside, at = fock._sector_index(d)
+        assert inside.shape == (2 * d - 1, d, d) and at.ndim == 1
+        assert not inside.flags.writeable and not at.flags.writeable
+        assert at.size == inside.sum() == np.unique(at).size
+        # the positions are exactly the entries of r[i, j, I, J] with I - i = J - j
+        i, j, bra_a, bra_b = np.indices((d,) * 4)
+        assert np.array_equal(np.sort(at), np.flatnonzero(bra_a - i == bra_b - j))
+
+        iterate = pad(onoff, (d, d)).matrix.reshape((d,) * 4)
+        assert not np.any(iterate.imag)
+        for r in (iterate, iterate.real, _random_sector_matrix(d, rng), _random_sector_matrix(d, rng).real):
+            rs = fock._sectors(r)
+            assert rs is not None and rs.dtype == r.dtype
+            back = fock._from_sectors(rs)
+            assert back.shape == (d * d, d * d) and back.dtype == r.dtype
+            assert back.tobytes() == np.ascontiguousarray(r).tobytes()
+
+        # a single non-zero entry outside the sectors makes r no sector state
+        off = np.flatnonzero(bra_a - i != bra_b - j)
+        if off.size:
+            r = _random_sector_matrix(d, rng)
+            r.reshape(-1)[rng.choice(off)] = 1e-300
+            assert fock._sectors(r) is None
+            assert fock._sectors(r.real) is None

@@ -311,7 +311,8 @@ def test_sector_contraction_matches_dense_contraction(detector, d):
         rs = fock._sectors(r)
         assert rs is not None
         dense, trace_dense = protocol._density_contraction(r, party, party)
-        sector, trace_sector = protocol._sector_contraction(rs, party[1], party[1])
+        sector_rs, trace_sector = protocol._sector_contraction(rs, party[1], party[1])
+        sector = fock._from_sectors(sector_rs)
         p_dense, p_sector = np.trace(dense).real, np.trace(sector).real
         assert abs(p_sector - p_dense) < 1e-12
         assert np.max(np.abs(sector / p_sector - dense / p_dense)) < 1e-12
@@ -339,8 +340,9 @@ def test_sector_contraction_output_is_exactly_hermitian(d):
     for r in (rho, rho.real.copy()):
         rs = fock._sectors(r.reshape(d, d, d, d))
         for parties in ((onoff, onoff), (onoff, homodyne)):
-            out, _ = protocol._sector_contraction(rs, parties[0][1], parties[1][1])
-            assert out.dtype == r.dtype
+            out_rs, _ = protocol._sector_contraction(rs, parties[0][1], parties[1][1])
+            out = fock._from_sectors(out_rs)
+            assert out_rs.shape == rs.shape and out.dtype == r.dtype
             assert np.array_equal(out, out.conj().T)
 
 
@@ -350,7 +352,8 @@ def test_sector_contraction_serves_two_different_parties():
     r = rho.matrix.reshape(d, d, d, d)
     party_a, party_b = protocol._party(OnOff(0.55), d), protocol._party(HomodyneFilter(1.5), d)
     dense, _ = protocol._density_contraction(r, party_a, party_b)
-    sector, _ = protocol._sector_contraction(fock._sectors(r), party_a[1], party_b[1])
+    sector_rs, _ = protocol._sector_contraction(fock._sectors(r), party_a[1], party_b[1])
+    sector = fock._from_sectors(sector_rs)
     assert np.max(np.abs(sector - dense)) < 1e-14
 
 
@@ -546,7 +549,8 @@ def test_real_and_complex_kernel_inputs_agree(d):
     psi /= np.linalg.norm(psi)
 
     def sector(x, party_a, party_b):  # the sector kernel takes only the effects
-        return protocol._sector_contraction(x, party_a[1], party_b[1])
+        out, trace_after = protocol._sector_contraction(x, party_a[1], party_b[1])
+        return fock._from_sectors(out), trace_after
 
     for parties in ((onoff, onoff), (onoff, homodyne)):
         for kernel, x in ((sector, rs), (protocol._density_contraction, r),
@@ -675,24 +679,20 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
         one_step(rho, HomodyneFilter(1.5))
         protocol._step(rho, protocol._party(OnOff(0.7), 5), protocol._party(HomodyneFilter(1.5), 5))
     assert len(seen) == 7 and all(s is seen[0] for s in seen)
-    assert set(tables) == {"d", "u", "measured", "compact", "padded", "gram", "plan", "scatter"}
+    assert set(tables) == {"d", "u", "measured", "compact", "padded", "gram", "plan"}
     assert all(vars(seen[0])[name] is table for name, table in tables.items())
     arrays = [t for t in tables.values() if isinstance(t, np.ndarray)]
     assert len(arrays) == 5 and not any(t.flags.writeable for t in arrays)
     assert not seen[0].shifted(1, 1, 4).flags.writeable
-    # the per-kappa plan and the scatter indices: built once, read-only, and
-    # each kappa's entry is the one the loop used to build per step
-    plan, scatter = tables["plan"], tables["scatter"]
-    assert len(plan) == 5 and len(scatter) == 2
+    # the per-kappa plan: built once, read-only, and each kappa's entry is the
+    # one the loop used to build per step
+    plan = tables["plan"]
+    assert len(plan) == 5
     assert not any(t.flags.writeable for entry in plan for t in entry[3:])
-    assert not any(t.flags.writeable for t in scatter)
     for kappa, (k, lo, hi, shifted, twice) in enumerate(plan):
         assert (k, lo, hi) == (kappa, (kappa + 1) // 2, 4)
         assert np.array_equal(shifted, seen[0].shifted(kappa, lo, hi))
         assert np.array_equal(twice.ravel(), np.where(2 * np.arange(lo, 5) == kappa, 1.0, 2.0))
-    block_at, mirror_at = scatter
-    assert block_at.size == 1 + 4 + 9 + 16 + 25 and mirror_at.size == block_at.size - 25
-    assert np.unique(np.concatenate(scatter)).size == block_at.size + mirror_at.size
 
     # runs that take no sector step build no sector tables: a vacuum run steps
     # kets, a single-mode on/off run density states on the dense contraction
@@ -711,7 +711,8 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
         for r in (rho, rho.real.copy()):
             rs = fock._sectors(r)
             for party_a, party_b in ((onoff, homodyne), (onoff, onoff)):
-                out, trace = protocol._sector_contraction(rs, party_a[1], party_b[1])
+                out_rs, trace = protocol._sector_contraction(rs, party_a[1], party_b[1])
+                out = fock._from_sectors(out_rs)
                 oracle, oracle_trace = _per_step_sector_contraction(rs, party_a, party_b)
                 assert out.dtype == oracle.dtype and out.tobytes() == oracle.tobytes()
                 assert trace == oracle_trace
