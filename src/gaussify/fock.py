@@ -2,14 +2,15 @@
 
 All states live on a per-mode truncated basis |0>, ..., |d-1>. Multi-mode
 objects use row-major (C-order) flattening, so mode 0 is the slowest index
-and ``np.kron(A, B)`` composes mode 0 with mode 1.
+and ``np.kron(A, B)`` composes mode 0 with mode 1. A state stores exactly
+real entries as float64, as every built-in state has, others as complex128.
 
 A two-mode state of equal cutoffs d with no weight outside the n_A - n_B
-sectors (a sector state) is stepped on its sector form: `_sectors` gathers
-it, the step kernel maps it to the output's sector form, and `_from_sectors`
-places that in the dense matrix, both through the one `_sector_index`. The
-metrics split a sector state into d blocks of d states, each joining two
-sectors (`_partition`); any other state is one block.
+sectors (a sector state) is stepped on its sector form, which a density state
+finds once (`_sector_form`): `_sectors` gathers it, the step kernel maps it to
+the output's sector form, and `_from_sectors` places that in the dense matrix,
+both through the one `_sector_index`. The metrics split a sector state into d
+blocks of d states, each joining two sectors (`_partition`); any other state is one block.
 """
 
 from __future__ import annotations
@@ -69,16 +70,28 @@ def _as_dims(dims) -> FockDims:
     return FockDims(tuple(dims))
 
 
+def _entries(a) -> np.ndarray:
+    """a, C-contiguous, as float64 when no entry has a non-zero imaginary part
+    (a float64 array as it is; exactly real complex entries copied out of their
+    buffer), else as complex128."""
+    a = np.asarray(a)
+    if not np.iscomplexobj(a):
+        return np.ascontiguousarray(a, dtype=float)
+    if np.any(a.imag):
+        return np.ascontiguousarray(a, dtype=complex)
+    return np.array(a.real, dtype=float, order="C")
+
+
 @dataclass
 class PureState:
-    """State vector over a truncated multi-mode Fock basis."""
+    """State vector over a truncated multi-mode Fock basis, stored by `_entries`."""
 
     dims: FockDims
     amplitudes: np.ndarray
 
     def __post_init__(self):
         self.dims = _as_dims(self.dims)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        self.amplitudes = _entries(np.reshape(self.amplitudes, -1))
         if self.amplitudes.size != self.dims.size:
             raise ValueError(
                 f"amplitude vector of length {self.amplitudes.size} does not match "
@@ -110,14 +123,15 @@ class PureState:
 
 @dataclass
 class DensityOperator:
-    """Hermitian unit-trace operator over a truncated multi-mode Fock basis."""
+    """Hermitian unit-trace operator over a truncated multi-mode Fock basis, stored
+    by `_entries`; it keeps its `_sector_form`, so its entries are not changed in place."""
 
     dims: FockDims
     matrix: np.ndarray
 
     def __post_init__(self):
         self.dims = _as_dims(self.dims)
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        self.matrix = _entries(self.matrix)
         size = self.dims.size
         if self.matrix.shape != (size, size):
             raise ValueError(
@@ -139,6 +153,14 @@ class DensityOperator:
 
     def tensor_view(self) -> np.ndarray:
         return self.matrix.reshape(self.dims.dims + self.dims.dims)
+
+    @functools.cached_property
+    def _sector_form(self) -> Optional[np.ndarray]:
+        """The read-only sector form (see `_sectors`) of a sector state, else None:
+        the one exact-zero test of the state, read by the step and the metrics."""
+        d = self.dims.dims
+        rs = _sectors(self.tensor_view()) if len(d) == 2 and d[0] == d[1] else None
+        return None if rs is None else _read_only(rs)
 
     def validate(self):
         """Raise if the operator is not Hermitian, unit-trace and positive within tolerance."""
@@ -190,7 +212,7 @@ def fock_ket(dims, occupation) -> PureState:
         raise ValueError("occupation length does not match mode count")
     if any(n < 0 or n >= d for n, d in zip(occupation, fd.dims)):
         raise ValueError(f"occupation {occupation} outside truncation {fd.dims}")
-    amps = np.zeros(fd.size, dtype=complex)
+    amps = np.zeros(fd.size)
     amps[fd.flat_index(occupation)] = 1.0
     return PureState(fd, amps)
 
@@ -218,7 +240,7 @@ def two_mode_squeezed_ket(r: float, dim: int) -> PureState:
     Normalizing divides out the 1/cosh(r) prefactor, which overflows at large r.
     """
     fd = FockDims((dim, dim))
-    amps = np.zeros(fd.size, dtype=complex)
+    amps = np.zeros(fd.size)
     t = math.tanh(r)
     for n in range(dim):
         amps[fd.flat_index((n, n))] = t ** n
@@ -388,10 +410,10 @@ def pad(state, new_dims):
         raise ValueError("mode count cannot change when padding")
     slices = tuple(slice(0, min(o, n)) for o, n in zip(old, fd.dims))
     if isinstance(state, PureState):
-        out = np.zeros(fd.dims, dtype=complex)
+        out = np.zeros(fd.dims, dtype=state.amplitudes.dtype)
         out[slices] = state.tensor_view()[slices]
         return PureState(fd, out.reshape(-1))
-    out = np.zeros(fd.dims + fd.dims, dtype=complex)
+    out = np.zeros(fd.dims + fd.dims, dtype=state.matrix.dtype)
     out[slices + slices] = state.tensor_view()[slices + slices]
     return DensityOperator(fd, out.reshape(fd.size, fd.size))
 
@@ -420,8 +442,8 @@ def _sectors(r: np.ndarray) -> Optional[np.ndarray]:
     (zero past the cutoff) for delta in [-(d-1), d-1] of a two-mode r[i, j, I, J]
     of equal cutoffs d, or None when r has weight outside these n_A - n_B sectors.
 
-    This exact-zero test is the one definition of a sector state: the step
-    kernel and the metrics both dispatch on it."""
+    This exact-zero test is the one definition of a sector state; a density
+    state runs it once, as its `_sector_form`, on which the step and the metrics dispatch."""
     inside, at = _sector_index(r.shape[0])
     rs = np.zeros(inside.shape, dtype=r.dtype)
     rs[inside] = r.reshape(-1)[at]
@@ -457,13 +479,14 @@ def _partition(*states, total: bool = False) -> np.ndarray:
     two-mode state of equal cutoffs d with no weight outside the n_A - n_B
     sectors, else one block, the whole space. A ket is such a state when all its
     non-zero amplitudes psi[i, j] share one i - j; it is tested on them, not on
-    its projector. Every built-in two-mode iterate is a sector state."""
+    its projector, a density state by its `_sector_form`. Every built-in
+    two-mode iterate is a sector state."""
 
     def in_sectors(s) -> bool:
         if isinstance(s, PureState):
             offset = np.subtract(*np.nonzero(s.tensor_view()))
             return bool(np.all(offset == offset[:1]))
-        return _sectors(s.tensor_view()) is not None
+        return s._sector_form is not None
 
     dims = states[0].dims.dims
     if len(dims) == 2 and dims[0] == dims[1] and all(

@@ -174,8 +174,6 @@ def wigner(state, x_range, p_range, resolution) -> WignerGrid:
         support = np.flatnonzero(diag)
         if not support.size:
             continue
-        if not np.any(diag.imag):
-            diag = diag.real
         total, root = 0.0, root_k  # root = sqrt(n!/(n+k)!)
         for n, lag in zip(range(support[-1] + 1), _laguerre(k, u)):
             if n:

@@ -29,7 +29,6 @@ from .fock import (
     PureState,
     _from_sectors,
     _read_only,
-    _sectors,
     beamsplitter_unitary,
     pad,
     two_mode_squeezed_ket,
@@ -140,7 +139,7 @@ def _epsilon_state(epsilon: float, d: int, n_modes: int) -> PureState:
     """(|0...0> + epsilon |1...1>)/sqrt(1 + epsilon^2) on n_modes modes of cutoff d."""
     _check_input(epsilon, d)
     fd = FockDims((d,) * n_modes)
-    amps = np.zeros(fd.size, dtype=complex)
+    amps = np.zeros(fd.size)
     amps[0] = 1.0
     amps[fd.flat_index((1,) * n_modes)] = epsilon
     return PureState(fd, amps / math.sqrt(1.0 + epsilon**2))
@@ -335,31 +334,24 @@ def _sector_contraction(rs: np.ndarray, e_a: np.ndarray, e_b: np.ndarray):
     return out, float(np.real(trace_after))
 
 
-def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    """The real part of a when its imaginary part is exactly zero, else a."""
-    return a if np.any(a.imag) else a.real
-
-
 def _step(state, party_a, party_b) -> MeasurementOutcome:
     """One step on a state of shape (A, B) given each party's splitter and effect.
 
     A two-mode density state with exactly zero weight outside the n_A - n_B
-    sectors, as every built-in iterate has, takes the sector contraction;
-    every other density state takes the dense one. A state whose entries have
-    exactly zero imaginary part, as every built-in iterate's have, enters the
-    kernel as its float64 real part: the splitters and effects are real too, so
-    the same kernel then runs in real arithmetic.
+    sectors, as every built-in iterate has, takes the sector contraction on the
+    sector form the state finds once (`DensityOperator._sector_form`); every
+    other density state takes the dense one. Each kernel steps the entries in
+    the dtype the state stores them in: float64 for every built-in iterate, and
+    the splitters and effects are real too, so the kernel runs in real arithmetic.
     """
     shape = (party_a[1].size, party_b[1].size)
     if isinstance(state, PureState):
-        psi = _real_if_exact(state.amplitudes.reshape(shape))
-        kraus, trace_after = _pure_contraction(psi, party_a, party_b)
+        kraus, trace_after = _pure_contraction(state.amplitudes.reshape(shape), party_a, party_b)
         out = _kraus_sum(kraus)
     elif isinstance(state, DensityOperator):
-        r = _real_if_exact(state.matrix.reshape(shape + shape))
-        rs = _sectors(r) if state.dims.n_modes == 2 else None
+        rs = state._sector_form
         if rs is None:
-            out, trace_after = _density_contraction(r, party_a, party_b)
+            out, trace_after = _density_contraction(state.matrix.reshape(shape + shape), party_a, party_b)
         else:
             out_rs, trace_after = _sector_contraction(rs, party_a[1], party_b[1])
             out = _from_sectors(out_rs)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,14 +14,20 @@ from gaussify import (
     beamsplitter_unitary,
     displacement_unitary,
     fock_ket,
+    gaussianity_distance,
+    logarithmic_negativity,
+    one_step,
     pad,
     partial_trace,
+    prepare_epsilon_state,
+    prepare_photon_subtracted,
     run,
     squeezer_unitary,
     tensor,
+    two_mode_squeezed_ket,
     vacuum,
 )
-from gaussify import fock
+from gaussify import fock, protocol
 
 RNG = np.random.default_rng(42)
 
@@ -514,3 +521,103 @@ def test_sector_form_round_trips_through_the_one_sector_index():
             r.reshape(-1)[rng.choice(off)] = 1e-300
             assert fock._sectors(r) is None
             assert fock._sectors(r.real) is None
+
+
+# ------------------------------------------------------------ storage dtype
+
+
+def test_real_and_integer_entries_are_stored_as_float64_without_a_copy():
+    d = 3
+    real = RNG.normal(size=(d * d, d * d))
+    assert DensityOperator((d, d), real).matrix is real
+    ket = PureState((d, d), real[0])
+    assert ket.amplitudes.dtype == np.float64 and np.shares_memory(ket.amplitudes, real)
+    for ints in (np.arange(d * d), list(range(d * d))):
+        assert PureState((d, d), ints).amplitudes.dtype == np.float64
+    identity = DensityOperator((d,), np.eye(d, dtype=int))
+    assert identity.matrix.dtype == np.float64 and np.array_equal(identity.matrix, np.eye(d))
+
+
+def test_complex_entries_are_stored_as_float64_exactly_when_every_imaginary_part_is_zero():
+    d = 3
+    real = RNG.normal(size=(d * d, d * d))
+    cplx = real.astype(complex)
+    cplx.imag[::2] = -0.0
+    assert np.any(np.signbit(cplx.imag))
+    # a new, owning C-contiguous float64 array, not a view of the complex buffer
+    for stored in (DensityOperator((d, d), cplx).matrix, PureState((d, d), cplx[1]).amplitudes):
+        assert stored.dtype == np.float64 and stored.flags.c_contiguous and stored.flags.owndata
+        assert not np.shares_memory(stored, cplx)
+    assert np.array_equal(DensityOperator((d, d), cplx).matrix, real)
+    # one non-zero imaginary part, however small, keeps the entries complex
+    for imag in (5e-324, np.nan):
+        tipped = cplx.copy()
+        tipped.imag[2, 1] = imag
+        stored = DensityOperator((d, d), tipped).matrix
+        assert stored.dtype == complex and np.array_equal(stored, tipped, equal_nan=True)
+        amplitudes = PureState((d, d), tipped[2]).amplitudes
+        assert amplitudes.dtype == complex and np.array_equal(amplitudes, tipped[2], equal_nan=True)
+
+
+def test_built_in_states_and_state_operations_keep_float64():
+    d = 4
+    kets = [fock_ket((d, d), (1, 2)), vacuum((d, d)), two_mode_squeezed_ket(0.5, d),
+            prepare_epsilon_state(0.95, d)]
+    for ket in kets:
+        rho = ket.to_density()
+        derived = [ket, rho, pad(ket, (d + 2, d + 2)), pad(rho, (d + 2, d + 2)),
+                   PureState(ket.dims, 2 * ket.amplitudes).normalized(),
+                   DensityOperator(rho.dims, 3 * rho.matrix).normalized(),
+                   tensor(ket, ket), tensor(ket, rho), tensor(rho, rho),
+                   partial_trace(rho, [0]), partial_trace(tensor(rho, ket), [1, 3])]
+        for state in derived:
+            entries = state.amplitudes if isinstance(state, PureState) else state.matrix
+            assert entries.dtype == np.float64
+
+
+def test_every_record_of_a_lossy_run_holds_a_float64_state():
+    trace = run(ProtocolConfig(steps=10, epsilon=0.95, detector=OnOff(0.6), max_truncation=16))
+    assert trace.final_state.dims.dims == (16, 16)
+    for record in trace.records:
+        d = record.state.dims.dims[0]
+        if record.step == 0:
+            assert record.state.amplitudes.dtype == np.float64
+            assert record.state.amplitudes.nbytes == d**2 * 8
+        else:
+            assert record.state.matrix.dtype == np.float64
+            assert record.state.matrix.nbytes == d**4 * 8
+
+
+def test_photon_subtracted_source_is_float64_and_steps_on_the_sector_kernel():
+    source = prepare_photon_subtracted(0.3, 0.9, 10).conditional_state
+    assert source.matrix.dtype == np.float64
+    with mock.patch.object(protocol, "_sector_contraction", wraps=protocol._sector_contraction) as sector:
+        one_step(source, OnOff(0.6))
+    assert sector.call_count == 1 and sector.call_args.args[0].dtype == np.float64
+
+
+def test_a_density_state_finds_its_sector_form_once():
+    """One `_sectors` call per distinct two-mode density state of a run whose
+    every record's E_N and Gaussianity are read, whether the step, the
+    metrics or both read it; the re-run steps on padded states count too."""
+    padded = []
+    spy_pad = mock.patch.object(protocol, "pad", side_effect=lambda s, d: padded.append(pad(s, d)) or padded[-1])
+    with mock.patch.object(fock, "_sectors", wraps=fock._sectors) as sectors, spy_pad:
+        trace = run(ProtocolConfig(steps=3, epsilon=0.95, detector=OnOff(0.6), max_truncation=12))
+        for record in trace.records:
+            assert record.log_negativity > 0 and record.gaussianity >= 0
+            if isinstance(record.state, DensityOperator):  # read again, outside the record's cache
+                logarithmic_negativity(record.state), gaussianity_distance(record.state)
+    states = [r.state for r in trace.records] + padded
+    densities = [s for s in states if isinstance(s, DensityOperator)]
+    assert len(densities) == sectors.call_count == 5
+    # each call read a different state's entries
+    for k, state in enumerate(densities):
+        read = [c.args[0] for c in sectors.call_args_list if np.shares_memory(c.args[0], state.matrix)]
+        assert len(read) == 1, k
+    for state in densities:
+        form = state._sector_form
+        assert form is state._sector_form and not form.flags.writeable
+        assert form.tobytes() == fock._sectors(state.tensor_view()).tobytes()
+        with pytest.raises(ValueError):
+            form[0, 0, 0] = 1.0

@@ -13,7 +13,11 @@ step-4 leak by 4e-15. The ten ``gaussianity`` cells of ``run_onoff.csv``
 were re-recorded again when the fidelity moved to square-root factors (by
 <= 6e-6 relative, toward a 40-digit reference). ``sweep_eta.csv`` lost its
 ``steps``, ``max_truncation`` and ``detector`` header lines when sweep-eta
-stopped taking those options; its data rows did not move. Header lines and data cells must match, numbers
+stopped taking those options; its data rows did not move.
+``gaussian_check.csv`` was re-recorded once more when exactly real states
+came to be stored as float64: its ``max_gamma_deviation`` (a difference of
+two ~1e-10-close moments of the truncated state) moved from 1.89473547962e-10
+to 1.89473770007e-10. Header lines and data cells must match, numbers
 within a per-column tolerance:
 
 - p, E_N, purity, sweep and check values: 1e-10 relative;

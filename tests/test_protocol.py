@@ -319,6 +319,38 @@ def test_sector_contraction_matches_dense_contraction(detector, d):
         assert abs(trace_sector - trace_dense) <= 1e-15
 
 
+_DETECTORS = st.one_of(
+    st.just(IdealVacuum()), st.floats(0.05, 1.0).map(OnOff), st.floats(0.3, 3.0).map(HomodyneFilter)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 7),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+    parties=st.one_of(
+        _DETECTORS.map(lambda detector: (detector, detector)),
+        st.tuples(st.floats(0.05, 1.0).map(OnOff), st.floats(0.3, 3.0).map(HomodyneFilter)),
+    ),
+)
+def test_sector_contraction_matches_dense_contraction_on_drawn_sector_states(d, seed, real, parties):
+    # the real part of a sector density matrix is a real sector density matrix
+    rho = _random_sector_density(d, np.random.default_rng(seed)).matrix
+    r = (rho.real.copy() if real else rho).reshape(d, d, d, d)
+    rs = fock._sectors(r)
+    assert rs is not None and rs.dtype == (np.float64 if real else complex)
+    party_a = protocol._party(parties[0], d)  # one party for both, as one_step passes it
+    party_b = party_a if parties[1] is parties[0] else protocol._party(parties[1], d)
+    dense, trace_dense = protocol._density_contraction(r, party_a, party_b)
+    sector_rs, trace_sector = protocol._sector_contraction(rs, party_a[1], party_b[1])
+    sector = fock._from_sectors(sector_rs)
+    p_dense, p_sector = np.trace(dense).real, np.trace(sector).real
+    assert abs(p_sector - p_dense) < 1e-12
+    assert np.max(np.abs(sector / p_sector - dense / p_dense)) < 1e-12
+    assert abs(trace_sector - trace_dense) <= 1e-15
+
+
 @pytest.mark.parametrize("d", range(2, 25))
 def test_balanced_splitter_changes_sign_with_the_kept_level_under_a_copy_swap(d):
     # u[a, m, p, i] = (-1)^a u[a, m, i, p]: the sector kernel folds the term
@@ -426,14 +458,7 @@ def _spied_contractions():
 
 
 @settings(max_examples=12, deadline=None)
-@given(
-    epsilon=st.floats(0.1, 1.5),
-    detector=st.one_of(
-        st.just(IdealVacuum()),
-        st.floats(0.05, 1.0).map(OnOff),
-        st.floats(0.3, 3.0).map(HomodyneFilter),
-    ),
-)
+@given(epsilon=st.floats(0.1, 1.5), detector=_DETECTORS)
 def test_built_in_detectors_keep_density_steps_on_the_sector_path(epsilon, detector):
     # photon-number conserving splitters and diagonal effects: every step maps
     # a state that commutes with n_A - n_B to another one, exactly
@@ -569,7 +594,7 @@ def test_phase_rotated_input_takes_the_complex_path_with_the_same_physics(detect
     # exp(i phi n_A) is a local rotation; it commutes with the splitters and the
     # diagonal effects, so p, E_N and purity are those of the real run
     real_run = run(ProtocolConfig(steps=4, epsilon=0.95, detector=detector))
-    phased = prepare_epsilon_state(0.95, 6).amplitudes.copy()
+    phased = prepare_epsilon_state(0.95, 6).amplitudes.astype(complex)
     phased[7] *= np.exp(0.7j)  # |1, 1>
     seen, (pure, dense, sector) = _spied_inputs()
     with pure, dense, sector:
