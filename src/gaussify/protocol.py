@@ -168,34 +168,34 @@ def prepare_photon_subtracted(r: float, t: float, d: int) -> MeasurementOutcome:
         raise ValueError("tap transmissivity must lie in (0, 1)")
     psi = two_mode_squeezed_ket(r, d).amplitudes.reshape(d, d)
     # tap splitter v[a, m, i]: kept a, tap m >= 1 (a click) <- source i, tap vacuum
-    v = beamsplitter_unitary(d, transmissivity=t).reshape(d, d, d, d)[:, 1:, :, 0]
+    v = beamsplitter_unitary(d, transmissivity=t).real.reshape(d, d, d, d)[:, 1:, :, 0]
     kraus = np.einsum("ami,ij,bnj->abmn", v, psi, v, optimize=True).reshape(d * d, -1)
     return _outcome(FockDims((d, d)), _kraus_sum(kraus))
 
 
 class _Splitter:
-    """The balanced beam splitter at one cutoff d in every form a step reads,
-    each array read-only, as every step at d shares them: u[a, m, i, p] (kept
-    a, measured m <- copy-1 i, copy-2 p), the float64 array its entries exactly
-    are, for the pure and dense contractions, and the sector contraction's
-    tables, built on its first use, so a cutoff only pure steps reach has none."""
+    """The balanced beam splitter at one cutoff d in the forms a step reads, each
+    array read-only, as every step at d shares them: built, the d^3 `measured`
+    level and `compact` entry of u[a, m, i, p] (kept a, measured m <- copy-1 i,
+    copy-2 p) per (a, i, p); on first use, the d^4 `u` the pure and dense
+    contractions read and the sector contraction's tables."""
 
     def __init__(self, d: int):
-        self.d = d
-        self.u = _read_only(np.ascontiguousarray(beamsplitter_unitary(d).real).reshape(d, d, d, d))
+        self.d, n = d, np.arange(d)
+        level = n[:, None] + n - n[:, None, None]  # i + p - a at [a, i, p]
+        m = self.measured = _read_only(level % d)
+        # made before the d^4 build, so the kept table does not split the d^4 block the build frees
+        allowed, compact = level == m, np.zeros(level.shape)  # zero where the mod applies
+        full = beamsplitter_unitary(d).real.reshape((d,) * 4)
+        compact[allowed] = full[n[:, None, None], m, n[:, None], n][allowed]
+        self.compact = _read_only(compact)
 
     @cached_property
-    def measured(self) -> np.ndarray:
-        """m[a, i, p] = i + p - a mod d, the one measured level photon-number conservation allows."""
-        n = np.arange(self.d)
-        return _read_only((n[:, None] + n - n[:, None, None]) % self.d)
-
-    @cached_property
-    def compact(self) -> np.ndarray:
-        """u[a, m, i, p] at m = measured[a, i, p], zero where the mod applies."""
-        n, m = np.arange(self.d), self.measured
-        allowed = m == n[:, None] + n - n[:, None, None]
-        return _read_only(np.where(allowed, self.u[n[:, None, None], m, n[:, None], n], 0))
+    def u(self) -> np.ndarray:
+        """u[a, m, i, p], the float64 array the splitter's entries exactly are: `compact` at m = `measured`."""
+        n, u = np.arange(self.d), np.zeros((self.d,) * 4)
+        u[n[:, None, None], self.measured, n[:, None], n] = self.compact
+        return _read_only(u)
 
     @cached_property
     def padded(self) -> np.ndarray:
@@ -208,24 +208,24 @@ class _Splitter:
     @cached_property
     def gram(self) -> np.ndarray:
         """g[delta, i, p] = (U^dagger U)[(i + delta, p - delta), (i, p)], all of U^dagger U."""
-        return _read_only(np.einsum("aip,adip->dip", self.compact, self.shifted(0, 1 - self.d, self.d - 1)))
+        return _read_only(np.einsum("aip,adip->dip", self.compact, self.shifted(0, 1 - self.d)))
 
     @cached_property
     def plan(self) -> tuple:
-        """Per output sector kappa = 0 ... d - 1: (kappa, lo, hi, shifted(kappa, lo, hi),
-        the column weighting each copy-1 sector delta in lo ... hi by 2, or 1 at delta = kappa / 2)."""
+        """Per output sector kappa = 0 ... d - 1: (lo, shifted(kappa, lo), the column weighting
+        each copy-1 sector delta in lo ... d - 1 by 2, or 1 at delta = kappa / 2)."""
         plan = []
         for kappa in range(self.d):
-            lo, hi = (kappa + 1) // 2, self.d - 1
-            twice = np.where(2 * np.arange(lo, hi + 1) == kappa, 1.0, 2.0)[:, None, None]
-            plan.append((kappa, lo, hi, self.shifted(kappa, lo, hi), _read_only(twice)))
+            lo = (kappa + 1) // 2
+            twice = np.where(2 * np.arange(lo, self.d) == kappa, 1.0, 2.0)[:, None, None]
+            plan.append((lo, self.shifted(kappa, lo), _read_only(twice)))
         return tuple(plan)
 
-    def shifted(self, kappa: int, lo: int, hi: int) -> np.ndarray:
-        """u[a + kappa, m, i + delta, p + kappa - delta] at m = i + p - a, a < d - kappa, lo <= delta <= hi."""
+    def shifted(self, kappa: int, lo: int) -> np.ndarray:
+        """u[a + kappa, m, i + delta, p + kappa - delta] at m = i + p - a, a < d - kappa, lo <= delta < d."""
         d, (s0, s1, s2) = self.d, self.padded.strides
         start = self.padded[kappa:, d - 1 + lo :, d - 1 + kappa - lo :]
-        shape = (d - kappa, hi - lo + 1, d, d)
+        shape = (d - kappa, d - lo, d, d)
         return np.lib.stride_tricks.as_strided(start, shape, (s0, s1 - s2, s1, s2), writeable=False)
 
 
@@ -236,16 +236,15 @@ def _balanced_splitter(d: int) -> _Splitter:
 
 
 def _party(detector: DetectorModel, d: int):
-    """One party's beam splitter (see `_balanced_splitter`) and the diagonal e
-    of its detector's success effect, with entries at or below EFFECT_TOL set
-    to zero."""
+    """One party's `_Splitter` (see `_balanced_splitter`) and the diagonal e of its
+    detector's success effect, with entries at or below EFFECT_TOL set to zero."""
     e = success_diagonal(detector, d)
-    return _balanced_splitter(d).u, np.where(e > EFFECT_TOL, e, 0.0)
+    return _balanced_splitter(d), np.where(e > EFFECT_TOL, e, 0.0)
 
 
 # Party B of the single-mode variant: cutoff 1, beam splitter [[1]] and effect
 # [1], i.e. no detector. A single-mode state of cutoff d runs as shape (d, 1).
-_NO_PARTY = (np.ones((1, 1, 1, 1)), np.ones(1))
+_NO_PARTY = (_Splitter(1), np.ones(1))
 
 
 def _pure_contraction(psi: np.ndarray, party_a, party_b):
@@ -256,7 +255,7 @@ def _pure_contraction(psi: np.ndarray, party_a, party_b):
     of the state after mixing. Outcomes of zero weight are dropped, so when
     both effects have rank one the output stays pure.
     """
-    (ua, ea), (ub, eb) = party_a, party_b
+    (ua, ea), (ub, eb) = (party_a[0].u, party_a[1]), (party_b[0].u, party_b[1])
     # phi[a, m, b, n]: (A kept, A measured, B kept, B measured)
     x = np.einsum("amip,ij->ampj", ua, psi, optimize=True)
     y = np.einsum("ampj,pq->amjq", x, psi, optimize=True)
@@ -274,7 +273,7 @@ def _density_contraction(r: np.ndarray, party_a, party_b):
     Returns the unnormalized kept density matrix and the trace of the state
     after mixing, the same contraction with unit effects.
     """
-    (ua, ea), (ub, eb) = party_a, party_b
+    (ua, ea), (ub, eb) = (party_a[0].u, party_a[1]), (party_b[0].u, party_b[1])
     s = np.einsum("m,amip,cmIP,ijIJ,pqPQ->acjJqQ", ea, ua, ua.conj(), r, r, optimize=True)
     kb = np.einsum("n,bnjq,dnJQ->bdjJqQ", eb, ub, ub.conj(), optimize=True)
     out = np.einsum("acjJqQ,bdjJqQ->abcd", s, kb, optimize=True)
@@ -295,7 +294,7 @@ def _sector_contraction(rs: np.ndarray, e_a: np.ndarray, e_b: np.ndarray):
     its compact table once, and per kappa each party's O(d^4) kernel is
     v[a, delta, i, p] = e_m u[a, m, i, p] u[a + kappa, m, i + delta, p + kappa - delta].
     What depends on the cutoff alone is built once per cutoff with the
-    splitter: the loop runs over its `plan` (each kappa's delta range, shifted
+    splitter: the loop runs over its `plan` (each kappa's lowest delta, shifted
     view and weights) and writes each block to slot d - 1 + kappa of the form.
 
     Two exact identities leave a quarter of the (kappa, delta) terms to compute:
@@ -316,11 +315,11 @@ def _sector_contraction(rs: np.ndarray, e_a: np.ndarray, e_b: np.ndarray):
     weighted_a = splitter.compact * e_a[splitter.measured]
     weighted_b = weighted_a if e_b is e_a else splitter.compact * e_b[splitter.measured]
     out = np.zeros(rs.shape, dtype=np.result_type(rs, weighted_a, weighted_b))
-    for kappa, lo, hi, shifted, twice in splitter.plan:
+    for kappa, (lo, shifted, twice) in enumerate(splitter.plan):
         v = weighted_a[: d - kappa, None] * shifted
         w = v if weighted_b is weighted_a else weighted_b[: d - kappa, None] * shifted
-        first = rs[d - 1 + lo : d + hi] * twice  # copy 1 in sector delta
-        second = rs[d - 1 + kappa - hi : d + kappa - lo][::-1]  # copy 2 in kappa - delta
+        first = rs[d - 1 + lo :] * twice  # copy 1 in sector delta
+        second = rs[kappa : d + kappa - lo][::-1]  # copy 2 in kappa - delta
         # x[a, delta, j, q] = sum_ip first[delta, i, j] v[a, delta, i, p] second[delta, p, q]
         x = first.transpose(0, 2, 1) @ (v @ second)
         block = x.reshape(x.shape[0], -1) @ w.reshape(w.shape[0], -1).T

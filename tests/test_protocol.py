@@ -37,6 +37,7 @@ from gaussify import (
     vacuum_effect,
 )
 from gaussify import fock, protocol
+from gaussify.measurements import success_diagonal
 
 RNG = np.random.default_rng(77)
 
@@ -450,6 +451,57 @@ def test_leak_matches_explicit_two_copy_mixing(kind, d):
     assert abs(leak - oracle) <= 1e-15
 
 
+def _step_kraus(e, d):
+    """The step's Kraus operators K[m, n] = sqrt(e_m e_n) <m, n| U_A U_B, stacked
+    as k[(m, n), (a, b), (i, j, p, q)]: copy 1 (i, j) and copy 2 (p, q) of
+    rho (x) rho to the kept outputs (a, b), each party's second output measured
+    in m (A) and n (B)."""
+    u = beamsplitter_unitary(d).reshape(d, d, d, d)  # u[a, m, i, p]
+    root = np.sqrt(e)
+    return np.einsum("m,n,amip,bnjq->mnabijpq", root, root, u, u).reshape(d * d, d * d, d**4)
+
+
+def _check_step_is_a_trace_non_increasing_cp_map(state, detector):
+    """The step is rho (x) rho -> sum_mn K_mn (rho (x) rho) K_mn^dagger, normalised:
+    sum K^dagger K <= I, the deficit on rho (x) rho with unit effects is the leak,
+    and one_step returns the normalised output and its trace before normalising."""
+    eps = np.finfo(float).eps
+    d = state.dims.dims[0]
+    k = _step_kraus(success_diagonal(detector, d), d)
+    stacked = k.reshape(d**4, d**4)  # rows (m, n, a, b)
+    assert np.min(np.linalg.eigvalsh(np.eye(d**4) - stacked.conj().T @ stacked)) >= -8 * eps
+    rho = as_matrix(state)
+    copies = np.kron(rho, rho)
+    out = np.sum(k @ copies @ k.conj().transpose(0, 2, 1), axis=0)
+    unit = _step_kraus(np.ones(d), d)
+    deficit = 1.0 - np.trace(np.sum(unit @ copies @ unit.conj().transpose(0, 2, 1), axis=0)).real
+    step = one_step(state, detector)
+    p = np.trace(out).real
+    assert abs(step.leak - deficit) <= 4 * eps
+    assert abs(step.probability - p) <= 4 * eps
+    assert np.max(np.abs(as_matrix(step.conditional_state) - out / p)) <= 8 * eps
+
+
+@BUILT_IN_DETECTORS
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_step_is_a_trace_non_increasing_completely_positive_map(detector, d):
+    # kets step on the pure contraction, sector states on the sector one, the rest dense
+    rng = np.random.default_rng(300 + d)
+    for state in (_random_state((d, d), True, rng), _random_sector_density(d, rng),
+                  _random_state((d, d), False, rng), _iterate(detector, d)):
+        _check_step_is_a_trace_non_increasing_cp_map(state, detector)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), detector=_DETECTORS,
+       kind=st.sampled_from(["pure", "sector", "dense"]))
+def test_step_is_a_trace_non_increasing_completely_positive_map_on_drawn_states(d, seed, detector, kind):
+    rng = np.random.default_rng(seed)
+    state = (_random_sector_density(d, rng) if kind == "sector"
+             else _random_state((d, d), kind == "pure", rng))
+    _check_step_is_a_trace_non_increasing_cp_map(state, detector)
+
+
 def _spied_contractions():
     return (
         mock.patch.object(protocol, "_sector_contraction", wraps=protocol._sector_contraction),
@@ -613,8 +665,9 @@ class _PerStepKernel:
     splitter and effect: the oracle for the per-cutoff `protocol._Splitter`."""
 
     def __init__(self, party):
-        u, e = party
+        e = party[1]
         d = e.size
+        u = beamsplitter_unitary(d).real.reshape(d, d, d, d)
         n = np.arange(d)
         m = n[:, None] + n - n[:, None, None]  # m[a, i, p]
         ok = (m >= 0) & (m < d)
@@ -677,25 +730,42 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
                            side_effect=lambda s, a, b: splitters.append(a[0]) or step(s, a, b)):
         one_step(prepare_epsilon_state(0.9, 5), IdealVacuum())
         one_step(prepare_epsilon_state(0.5, 5).to_density(), OnOff(0.7))
-    assert splitters[0] is splitters[1] is protocol._balanced_splitter(5).u
-    assert splitters[0].dtype == np.float64 and not splitters[0].flags.writeable
+    assert splitters[0] is splitters[1] is protocol._balanced_splitter(5)
+    u = splitters[0].u
+    assert u is splitters[0].u
+    assert u.dtype == np.float64 and not u.flags.writeable
     with pytest.raises(ValueError):
-        splitters[0][0, 0, 0, 0] = 2.0
+        u[0, 0, 0, 0] = 2.0
     fresh = beamsplitter_unitary(5)
     assert fresh.dtype == complex and not np.any(fresh.imag)
-    assert fresh.flags.writeable and not np.shares_memory(fresh, splitters[0])
+    assert fresh.flags.writeable and not np.shares_memory(fresh, u)
     fresh[0, 0] = 2.0
-    assert np.array_equal(splitters[0], beamsplitter_unitary(5).real.reshape(5, 5, 5, 5))
+    assert np.array_equal(u, beamsplitter_unitary(5).real.reshape(5, 5, 5, 5))
+    # u is placed from the O(d^3) tables: bitwise the recurrence's entries on the
+    # photon-number support, and zero off it, where the recurrence leaves zeros
+    # of either sign. Cutoff 1 is the single-mode variant's party B
+    assert protocol._NO_PARTY[0].u.tobytes() == np.ones((1, 1, 1, 1)).tobytes()
+    for d in range(1, 17):
+        placed = protocol._Splitter(d).u
+        expected = beamsplitter_unitary(d).real.reshape(d, d, d, d)
+        assert placed.dtype == np.float64 and not placed.flags.writeable
+        assert np.array_equal(placed, expected)
+        a, m, i, p = np.indices(placed.shape)
+        support = a + m == i + p
+        assert placed[support].tobytes() == expected[support].tobytes()
+        assert not np.any(placed[~support]) and not np.any(expected[~support])
     # built through protocol's own binding of beamsplitter_unitary, the one a
-    # tracer that rebinds module globals replaces
+    # tracer that rebinds module globals replaces; placing u calls it no more
     protocol._balanced_splitter.cache_clear()
     with mock.patch.object(protocol, "beamsplitter_unitary", wraps=beamsplitter_unitary) as built:
         protocol._party(OnOff(0.7), 5)
-        protocol._party(IdealVacuum(), 5)
+        protocol._party(IdealVacuum(), 5)[0].u
     assert built.call_count == 1
 
     # sector steps under two detectors, and both parties of a mixed-party step,
     # read one object per cutoff, whose sector tables the first of them builds
+    # and which holds no u
+    protocol._balanced_splitter.cache_clear()
     rho = _random_sector_density(5, RNG)
     seen, recorded = _recorded_splitters()
     with recorded:
@@ -704,20 +774,29 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
         one_step(rho, HomodyneFilter(1.5))
         protocol._step(rho, protocol._party(OnOff(0.7), 5), protocol._party(HomodyneFilter(1.5), 5))
     assert len(seen) == 7 and all(s is seen[0] for s in seen)
-    assert set(tables) == {"d", "u", "measured", "compact", "padded", "gram", "plan"}
+    assert set(tables) == {"d", "measured", "compact", "padded", "gram", "plan"}
+    assert set(vars(seen[0])) == set(tables)
     assert all(vars(seen[0])[name] is table for name, table in tables.items())
     arrays = [t for t in tables.values() if isinstance(t, np.ndarray)]
-    assert len(arrays) == 5 and not any(t.flags.writeable for t in arrays)
-    assert not seen[0].shifted(1, 1, 4).flags.writeable
+    assert len(arrays) == 4 and not any(t.flags.writeable for t in arrays)
+    assert not seen[0].shifted(1, 1).flags.writeable
     # the per-kappa plan: built once, read-only, and each kappa's entry is the
-    # one the loop used to build per step
+    # one the loop used to build per step, its delta running lo ... d - 1
     plan = tables["plan"]
     assert len(plan) == 5
-    assert not any(t.flags.writeable for entry in plan for t in entry[3:])
-    for kappa, (k, lo, hi, shifted, twice) in enumerate(plan):
-        assert (k, lo, hi) == (kappa, (kappa + 1) // 2, 4)
-        assert np.array_equal(shifted, seen[0].shifted(kappa, lo, hi))
+    assert not any(t.flags.writeable for entry in plan for t in entry[1:])
+    for kappa, (lo, shifted, twice) in enumerate(plan):
+        assert lo == (kappa + 1) // 2
+        assert shifted.shape == (5 - kappa, 5 - lo, 5, 5)
+        assert np.array_equal(shifted, seen[0].shifted(kappa, lo))
         assert np.array_equal(twice.ravel(), np.where(2 * np.arange(lo, 5) == kappa, 1.0, 2.0))
+    # a run of density steps places u at none of the cutoffs it climbs through
+    protocol._balanced_splitter.cache_clear()
+    seen, recorded = _recorded_splitters()
+    with recorded:
+        run(ProtocolConfig(steps=3, detector=OnOff(0.6), max_truncation=12,
+                           initial_state=prepare_epsilon_state(0.95, 6).to_density()))
+    assert {s.d for s in seen} > {6} and not any("u" in vars(s) for s in seen)
 
     # runs that take no sector step build no sector tables: a vacuum run steps
     # kets, a single-mode on/off run density states on the dense contraction
@@ -726,7 +805,7 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
     with recorded:
         run(ProtocolConfig(steps=4, epsilon=0.95, truncation=6))
         run(ProtocolConfig(steps=2, epsilon=0.95, mode_count=1, detector=OnOff(0.6)))
-    assert len(seen) >= 6 and all(set(vars(s)) == {"d", "u"} for s in seen)
+    assert len(seen) >= 6 and all(set(vars(s)) == {"d", "measured", "compact", "u"} for s in seen)
 
     # the per-cutoff tables give bitwise the per-step build's output and trace
     rng = np.random.default_rng(22)
