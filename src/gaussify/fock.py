@@ -5,6 +5,9 @@ objects use row-major (C-order) flattening, so mode 0 is the slowest index
 and ``np.kron(A, B)`` composes mode 0 with mode 1. A state stores exactly
 real entries as float64, as every built-in state has, others as complex128.
 
+A beam splitter is a `_Splitter`, built on the d^3 levels that photon-number
+conservation allows; its d^4 forms (`u`, `beamsplitter_unitary`) are placed from them.
+
 A two-mode state of equal cutoffs d with no weight outside the n_A - n_B
 sectors (a sector state) is stepped on its sector form, which a density state
 finds once (`_sector_form`): `_sectors` gathers it, the step kernel maps it to
@@ -295,41 +298,17 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 
 
 def beamsplitter_unitary(dim: int, transmissivity: float = 0.5) -> np.ndarray:
-    """Two-mode beam-splitter matrix on equal truncations, transmissivity T.
+    """Two-mode beam-splitter matrix on equal truncations, transmissivity T: `_Splitter.u`, complex.
 
     Convention (Heisenberg picture): a+ -> sqrt(T) a+ + sqrt(1-T) b+ and
     b+ -> -sqrt(1-T) a+ + sqrt(T) b+. The matrix is block diagonal in total
     photon number; blocks are the exact untruncated transformation projected
     onto the retained levels, so blocks with total number < dim are exactly
     unitary and higher blocks lose the weight that would cross the cutoff.
-
-    Built from U|p,q> = (t a+ + r b+)^p (-r a+ + t b+)^q |0,0> / sqrt(p! q!)
-    with t = sqrt(T), r = sqrt(1-T): each column takes one creation operator
-    from its neighbour with one photon fewer on the larger input port (always
-    stepping port a first drifts to 4e-10 by d = 30). Output levels < dim
-    need only output levels < dim, so the entries are exact.
     """
     if not 0.0 < transmissivity <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
-    t, r = math.sqrt(transmissivity), math.sqrt(1.0 - transmissivity)
-    up = np.sqrt(np.arange(1, dim, dtype=float))  # <n+1| a+ |n>
-
-    def create(prev, ca, cb):
-        """(ca a+ + cb b+) on a stack of output grids prev[:, m, n]."""
-        out = np.zeros_like(prev)
-        out[:, 1:, :] = ca * up[:, None] * prev[:, :-1, :]
-        out[:, :, 1:] += cb * up * prev[:, :, :-1]
-        return out
-
-    u = np.zeros((dim, dim, dim, dim))  # u[p, q, m, n] = <m,n| U |p,q>
-    u[0, 0, 0, 0] = 1.0
-    # columns with max(p, q) = k: first (p < k, k) from (p, k - 1), then
-    # (k, q <= k) from (k - 1, q), which includes the (k - 1, k) just built
-    for k in range(1, dim):
-        root = math.sqrt(k)
-        u[:k, k] = create(u[:k, k - 1], -r / root, t / root)
-        u[k, : k + 1] = create(u[k - 1, : k + 1], t / root, r / root)
-    return u.reshape(dim * dim, dim * dim).T.astype(complex, order="C")
+    return _Splitter(dim, transmissivity).u.reshape(dim * dim, dim * dim).astype(complex)
 
 
 def _expm_antihermitian(gen: np.ndarray) -> np.ndarray:
@@ -422,6 +401,80 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     """Mark a shared table read-only and return it."""
     a.flags.writeable = False
     return a
+
+
+class _Splitter:
+    """The beam splitter of transmissivity T (see `beamsplitter_unitary`) at one cutoff d
+    in the forms its readers take, each array read-only, as every step at d shares them:
+    built, the d^3 `measured` level and `compact` entry of u[a, m, i, p] (kept a,
+    measured m <- copy-1 i, copy-2 p) per (a, i, p); on first use, the d^4 `u` and
+    the sector contraction's tables.
+
+    `compact` is built from U|i,p> = (t a+ + r b+)^i (-r a+ + t b+)^p |0,0> / sqrt(i! p!),
+    t = sqrt(T), r = sqrt(1-T), run on the levels c[a, i, p] = <a, i + p - a| U |i, p> alone:
+    each column takes one creation operator from its neighbour with one photon fewer
+    on the larger input port (always stepping port a first drifts to 4e-10 by d = 30).
+    Output levels < d need only output levels < d, so the entries are exact."""
+
+    def __init__(self, d: int, transmissivity: float = 0.5):
+        t, r = math.sqrt(transmissivity), math.sqrt(1.0 - transmissivity)
+        self.d, n = d, np.arange(d)
+        m = n[:, None] + n - n[:, None, None]  # i + p - a at [a, i, p]
+        inside, raised = (m >= 0) & (m < d), (m > 0) & (m < d)  # raised: where b+ adds a term
+        m %= d
+        self.measured, root, c = _read_only(m), np.sqrt(n.astype(float)), np.zeros(m.shape)
+
+        def create(new, old, ca, cb):
+            """c[new] = (ca a+ + cb b+) c[old] inside the cutoff, with <n| a+ |n - 1> = root[n]."""
+            out = c[new]  # a view of c, still zero
+            np.multiply(ca * root[1:, None], c[old][:-1], out=out[1:], where=inside[new][1:])
+            np.add(out, cb * root[m[new]] * c[old], out=out, where=raised[new])
+
+        c[0, 0, 0] = 1.0
+        # columns with max(i, p) = k: (i < k, k) from (i, k - 1), then (k, p <= k) from (k - 1, p)
+        for k in range(1, d):
+            s = math.sqrt(k)
+            create(np.s_[:, :k, k], np.s_[:, :k, k - 1], -r / s, t / s)
+            create(np.s_[:, k, : k + 1], np.s_[:, k - 1, : k + 1], t / s, r / s)
+        self.compact = _read_only(c)
+
+    @functools.cached_property
+    def u(self) -> np.ndarray:
+        """u[a, m, i, p], the float64 array the splitter's entries exactly are: `compact` at m = `measured`."""
+        n, u = np.arange(self.d), np.zeros((self.d,) * 4)
+        u[n[:, None, None], self.measured, n[:, None], n] = self.compact
+        return _read_only(u)
+
+    @functools.cached_property
+    def padded(self) -> np.ndarray:
+        """`compact` with d - 1 zero levels on both sides of i and p, so `shifted` is a strided view."""
+        d = self.d
+        padded = np.zeros((d, 3 * d - 2, 3 * d - 2))
+        padded[:, d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = self.compact
+        return _read_only(padded)
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """g[delta, i, p] = (U^dagger U)[(i + delta, p - delta), (i, p)], all of U^dagger U."""
+        return _read_only(np.einsum("aip,adip->dip", self.compact, self.shifted(0, 1 - self.d)))
+
+    @functools.cached_property
+    def plan(self) -> tuple:
+        """Per output sector kappa = 0 ... d - 1: (lo, shifted(kappa, lo), the column weighting each copy-1
+        sector delta in lo ... d - 1 by 2, or 1 at delta = kappa / 2: a copy swap, so for T = 1/2 only)."""
+        plan = []
+        for kappa in range(self.d):
+            lo = (kappa + 1) // 2
+            twice = np.where(2 * np.arange(lo, self.d) == kappa, 1.0, 2.0)[:, None, None]
+            plan.append((lo, self.shifted(kappa, lo), _read_only(twice)))
+        return tuple(plan)
+
+    def shifted(self, kappa: int, lo: int) -> np.ndarray:
+        """u[a + kappa, m, i + delta, p + kappa - delta] at m = i + p - a, a < d - kappa, lo <= delta < d."""
+        d, (s0, s1, s2) = self.d, self.padded.strides
+        start = self.padded[kappa:, d - 1 + lo :, d - 1 + kappa - lo :]
+        shape = (d - kappa, d - lo, d, d)
+        return np.lib.stride_tricks.as_strided(start, shape, (s0, s1 - s2, s1, s2), writeable=False)
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,6 +10,8 @@ One kernel serves both variants: a step acts on a state of shape (A, B), and
 each party mixes its two copies on its own splitter and conditions the
 measured output on its own effect. The single-mode variant is the two-party
 step whose party B has cutoff 1, splitter [[1]] and effect [1] (no detector).
+Every splitter is a `fock._Splitter`: the balanced one of each cutoff, shared
+by its steps, and the tap of `prepare_photon_subtracted`.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from .fock import (
     DensityOperator,
     FockDims,
     PureState,
+    _Splitter,
     _from_sectors,
-    _read_only,
-    beamsplitter_unitary,
     pad,
     two_mode_squeezed_ket,
 )
@@ -168,70 +169,15 @@ def prepare_photon_subtracted(r: float, t: float, d: int) -> MeasurementOutcome:
         raise ValueError("tap transmissivity must lie in (0, 1)")
     psi = two_mode_squeezed_ket(r, d).amplitudes.reshape(d, d)
     # tap splitter v[a, m, i]: kept a, tap m >= 1 (a click) <- source i, tap vacuum
-    v = beamsplitter_unitary(d, transmissivity=t).real.reshape(d, d, d, d)[:, 1:, :, 0]
+    v = _Splitter(d, t).u[:, 1:, :, 0]
     kraus = np.einsum("ami,ij,bnj->abmn", v, psi, v, optimize=True).reshape(d * d, -1)
     return _outcome(FockDims((d, d)), _kraus_sum(kraus))
 
 
-class _Splitter:
-    """The balanced beam splitter at one cutoff d in the forms a step reads, each
-    array read-only, as every step at d shares them: built, the d^3 `measured`
-    level and `compact` entry of u[a, m, i, p] (kept a, measured m <- copy-1 i,
-    copy-2 p) per (a, i, p); on first use, the d^4 `u` the pure and dense
-    contractions read and the sector contraction's tables."""
-
-    def __init__(self, d: int):
-        self.d, n = d, np.arange(d)
-        level = n[:, None] + n - n[:, None, None]  # i + p - a at [a, i, p]
-        m = self.measured = _read_only(level % d)
-        # made before the d^4 build, so the kept table does not split the d^4 block the build frees
-        allowed, compact = level == m, np.zeros(level.shape)  # zero where the mod applies
-        full = beamsplitter_unitary(d).real.reshape((d,) * 4)
-        compact[allowed] = full[n[:, None, None], m, n[:, None], n][allowed]
-        self.compact = _read_only(compact)
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        """u[a, m, i, p], the float64 array the splitter's entries exactly are: `compact` at m = `measured`."""
-        n, u = np.arange(self.d), np.zeros((self.d,) * 4)
-        u[n[:, None, None], self.measured, n[:, None], n] = self.compact
-        return _read_only(u)
-
-    @cached_property
-    def padded(self) -> np.ndarray:
-        """`compact` with d - 1 zero levels on both sides of i and p, so `shifted` is a strided view."""
-        d = self.d
-        padded = np.zeros((d, 3 * d - 2, 3 * d - 2))
-        padded[:, d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = self.compact
-        return _read_only(padded)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """g[delta, i, p] = (U^dagger U)[(i + delta, p - delta), (i, p)], all of U^dagger U."""
-        return _read_only(np.einsum("aip,adip->dip", self.compact, self.shifted(0, 1 - self.d)))
-
-    @cached_property
-    def plan(self) -> tuple:
-        """Per output sector kappa = 0 ... d - 1: (lo, shifted(kappa, lo), the column weighting
-        each copy-1 sector delta in lo ... d - 1 by 2, or 1 at delta = kappa / 2)."""
-        plan = []
-        for kappa in range(self.d):
-            lo = (kappa + 1) // 2
-            twice = np.where(2 * np.arange(lo, self.d) == kappa, 1.0, 2.0)[:, None, None]
-            plan.append((lo, self.shifted(kappa, lo), _read_only(twice)))
-        return tuple(plan)
-
-    def shifted(self, kappa: int, lo: int) -> np.ndarray:
-        """u[a + kappa, m, i + delta, p + kappa - delta] at m = i + p - a, a < d - kappa, lo <= delta < d."""
-        d, (s0, s1, s2) = self.d, self.padded.strides
-        start = self.padded[kappa:, d - 1 + lo :, d - 1 + kappa - lo :]
-        shape = (d - kappa, d - lo, d, d)
-        return np.lib.stride_tricks.as_strided(start, shape, (s0, s1 - s2, s1, s2), writeable=False)
-
-
 @lru_cache(maxsize=2)
 def _balanced_splitter(d: int) -> _Splitter:
-    """The `_Splitter` every step at cutoff d shares; an adaptive step touches d and d + 2, so two are held."""
+    """The `_Splitter` every step at cutoff d shares. Two are held for commands that alternate two
+    cutoffs, as sweeps at 6 and 8 do; an adaptive step never returns to d once it steps at d + 2."""
     return _Splitter(d)
 
 

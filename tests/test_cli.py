@@ -344,7 +344,7 @@ def test_cutoff_too_large_to_allocate_is_a_numerical_failure(monkeypatch, capsys
             raise _error
 
         protocol._balanced_splitter.cache_clear()
-        monkeypatch.setattr(protocol, "beamsplitter_unitary", unaffordable)
+        monkeypatch.setattr(protocol, "_Splitter", unaffordable)
         try:
             assert main(["run", "--steps", "1", "--truncation", "4"]) == 2
         finally:

@@ -273,6 +273,62 @@ def test_beamsplitter_matches_mpmath_reference():
         assert np.max(np.abs(beamsplitter_unitary(d, transmissivity) - ref)) < 1e-15
 
 
+def reference_beamsplitter(dim, transmissivity=0.5):
+    """The creation-operator recurrence run on the whole d^4 array u[p, q, m, n]
+    = <m,n| U |p,q>, returned as the complex (m, n) x (p, q) matrix: the oracle of
+    `fock._Splitter`, which runs it on the d^3 entries with m + n = p + q alone."""
+    t, r = math.sqrt(transmissivity), math.sqrt(1.0 - transmissivity)
+    up = np.sqrt(np.arange(1, dim, dtype=float))  # <n+1| a+ |n>
+
+    def create(prev, ca, cb):
+        """(ca a+ + cb b+) on a stack of output grids prev[:, m, n]."""
+        out = np.zeros_like(prev)
+        out[:, 1:, :] = ca * up[:, None] * prev[:, :-1, :]
+        out[:, :, 1:] += cb * up * prev[:, :, :-1]
+        return out
+
+    u = np.zeros((dim, dim, dim, dim))
+    u[0, 0, 0, 0] = 1.0
+    for k in range(1, dim):
+        root = math.sqrt(k)
+        u[:k, k] = create(u[:k, k - 1], -r / root, t / root)
+        u[k, : k + 1] = create(u[k - 1, : k + 1], t / root, r / root)
+    return u.reshape(dim * dim, dim * dim).T.astype(complex, order="C")
+
+
+@pytest.mark.parametrize("transmissivity", [0.5, 0.3, 0.9, 1.0])
+def test_splitter_levels_give_the_d4_recurrence_bitwise(transmissivity):
+    # same float operations in the same order: identical bytes on the
+    # photon-number support a + m = i + p, zeros off it (the d^4 recurrence
+    # leaves zeros of either sign there)
+    for d in range(1, 31):
+        expected = reference_beamsplitter(d, transmissivity)
+        matrix = beamsplitter_unitary(d, transmissivity)
+        placed = fock._Splitter(d, transmissivity).u
+        assert matrix.dtype == complex and placed.dtype == np.float64
+        assert np.array_equal(matrix, expected)
+        a, m, i, p = np.indices((d,) * 4)
+        support = a + m == i + p
+        for u, want in ((matrix, expected), (placed, expected.real)):
+            u, want = u.reshape((d,) * 4), want.reshape((d,) * 4)
+            assert u[support].tobytes() == want[support].tobytes()
+            assert not np.any(u[~support])
+
+
+def test_splitter_build_stays_within_its_d3_tables():
+    # at d = 44 the two kept d^3 tables are 1.3 MiB, and one float64 d^4 array
+    # is 28.6 MiB, so the bound admits no d^4 array in the build
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fock._Splitter(44)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
 # ---------------------------------------------------------------- squeezer
 
 

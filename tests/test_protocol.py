@@ -38,6 +38,7 @@ from gaussify import (
 )
 from gaussify import fock, protocol
 from gaussify.measurements import success_diagonal
+from test_fock import reference_beamsplitter
 
 RNG = np.random.default_rng(77)
 
@@ -667,7 +668,7 @@ class _PerStepKernel:
     def __init__(self, party):
         e = party[1]
         d = e.size
-        u = beamsplitter_unitary(d).real.reshape(d, d, d, d)
+        u = reference_beamsplitter(d).real.reshape(d, d, d, d)
         n = np.arange(d)
         m = n[:, None] + n - n[:, None, None]  # m[a, i, p]
         ok = (m >= 0) & (m < d)
@@ -740,27 +741,30 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
     assert fresh.dtype == complex and not np.any(fresh.imag)
     assert fresh.flags.writeable and not np.shares_memory(fresh, u)
     fresh[0, 0] = 2.0
-    assert np.array_equal(u, beamsplitter_unitary(5).real.reshape(5, 5, 5, 5))
-    # u is placed from the O(d^3) tables: bitwise the recurrence's entries on the
-    # photon-number support, and zero off it, where the recurrence leaves zeros
-    # of either sign. Cutoff 1 is the single-mode variant's party B
+    assert np.array_equal(u, reference_beamsplitter(5).real.reshape(5, 5, 5, 5))
+    # u is placed from the O(d^3) tables: bitwise the d^4 recurrence's entries on
+    # the photon-number support, and zero off it, where that recurrence leaves
+    # zeros of either sign. Cutoff 1 is the single-mode variant's party B
     assert protocol._NO_PARTY[0].u.tobytes() == np.ones((1, 1, 1, 1)).tobytes()
     for d in range(1, 17):
         placed = protocol._Splitter(d).u
-        expected = beamsplitter_unitary(d).real.reshape(d, d, d, d)
+        expected = reference_beamsplitter(d).real.reshape(d, d, d, d)
         assert placed.dtype == np.float64 and not placed.flags.writeable
         assert np.array_equal(placed, expected)
         a, m, i, p = np.indices(placed.shape)
         support = a + m == i + p
         assert placed[support].tobytes() == expected[support].tobytes()
         assert not np.any(placed[~support]) and not np.any(expected[~support])
-    # built through protocol's own binding of beamsplitter_unitary, the one a
-    # tracer that rebinds module globals replaces; placing u calls it no more
+    # built through protocol's own binding of _Splitter, the one a tracer that
+    # rebinds module globals replaces: once per cutoff, and not for reading u
     protocol._balanced_splitter.cache_clear()
-    with mock.patch.object(protocol, "beamsplitter_unitary", wraps=beamsplitter_unitary) as built:
+    with mock.patch.object(protocol, "_Splitter", wraps=fock._Splitter) as built:
         protocol._party(OnOff(0.7), 5)
         protocol._party(IdealVacuum(), 5)[0].u
-    assert built.call_count == 1
+        assert built.call_count == 1
+        protocol._party(OnOff(0.7), 6)[0].u
+        protocol._party(IdealVacuum(), 6)
+    assert [c.args for c in built.call_args_list] == [(5,), (6,)]
 
     # sector steps under two detectors, and both parties of a mixed-party step,
     # read one object per cutoff, whose sector tables the first of them builds
