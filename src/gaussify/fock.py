@@ -407,8 +407,7 @@ class _Splitter:
     """The beam splitter of transmissivity T (see `beamsplitter_unitary`) at one cutoff d
     in the forms its readers take, each array read-only, as every step at d shares them:
     built, the d^3 `measured` level and `compact` entry of u[a, m, i, p] (kept a,
-    measured m <- copy-1 i, copy-2 p) per (a, i, p); on first use, the d^4 `u` and
-    the sector contraction's tables.
+    measured m <- copy-1 i, copy-2 p) per (a, i, p); on first use, the d^4 `u`.
 
     `compact` is built from U|i,p> = (t a+ + r b+)^i (-r a+ + t b+)^p |0,0> / sqrt(i! p!),
     t = sqrt(T), r = sqrt(1-T), run on the levels c[a, i, p] = <a, i + p - a| U |i, p> alone:
@@ -444,37 +443,6 @@ class _Splitter:
         n, u = np.arange(self.d), np.zeros((self.d,) * 4)
         u[n[:, None, None], self.measured, n[:, None], n] = self.compact
         return _read_only(u)
-
-    @functools.cached_property
-    def padded(self) -> np.ndarray:
-        """`compact` with d - 1 zero levels on both sides of i and p, so `shifted` is a strided view."""
-        d = self.d
-        padded = np.zeros((d, 3 * d - 2, 3 * d - 2))
-        padded[:, d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = self.compact
-        return _read_only(padded)
-
-    @functools.cached_property
-    def gram(self) -> np.ndarray:
-        """g[delta, i, p] = (U^dagger U)[(i + delta, p - delta), (i, p)], all of U^dagger U."""
-        return _read_only(np.einsum("aip,adip->dip", self.compact, self.shifted(0, 1 - self.d)))
-
-    @functools.cached_property
-    def plan(self) -> tuple:
-        """Per output sector kappa = 0 ... d - 1: (lo, shifted(kappa, lo), the column weighting each copy-1
-        sector delta in lo ... d - 1 by 2, or 1 at delta = kappa / 2: a copy swap, so for T = 1/2 only)."""
-        plan = []
-        for kappa in range(self.d):
-            lo = (kappa + 1) // 2
-            twice = np.where(2 * np.arange(lo, self.d) == kappa, 1.0, 2.0)[:, None, None]
-            plan.append((lo, self.shifted(kappa, lo), _read_only(twice)))
-        return tuple(plan)
-
-    def shifted(self, kappa: int, lo: int) -> np.ndarray:
-        """u[a + kappa, m, i + delta, p + kappa - delta] at m = i + p - a, a < d - kappa, lo <= delta < d."""
-        d, (s0, s1, s2) = self.d, self.padded.strides
-        start = self.padded[kappa:, d - 1 + lo :, d - 1 + kappa - lo :]
-        shape = (d - kappa, d - lo, d, d)
-        return np.lib.stride_tricks.as_strided(start, shape, (s0, s1 - s2, s1, s2), writeable=False)
 
 
 @functools.lru_cache(maxsize=None)

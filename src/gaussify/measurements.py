@@ -99,6 +99,8 @@ def success_diagonal(detector: DetectorModel, dim: int) -> np.ndarray:
         raise TypeError(f"unknown detector model {detector!r}")
     x = detector.radius
     y = x * x
+    if y == math.inf:  # the limit F = 1; each term e^(-y) y^k / k! would be 0 * inf = NaN
+        return np.ones(dim)
     terms = [math.exp(-y)]
     while len(terms) <= dim:
         terms.append(terms[-1] * y / len(terms))

@@ -10,8 +10,9 @@ One kernel serves both variants: a step acts on a state of shape (A, B), and
 each party mixes its two copies on its own splitter and conditions the
 measured output on its own effect. The single-mode variant is the two-party
 step whose party B has cutoff 1, splitter [[1]] and effect [1] (no detector).
-Every splitter is a `fock._Splitter`: the balanced one of each cutoff, shared
-by its steps, and the tap of `prepare_photon_subtracted`.
+Every splitter is a `fock._Splitter`: the tap of `prepare_photon_subtracted`,
+and each cutoff's balanced one, shared by its steps, a `_BalancedSplitter`,
+the one class that holds the sector contraction's tables.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .fock import (
     PureState,
     _Splitter,
     _from_sectors,
+    _read_only,
     pad,
     two_mode_squeezed_ket,
 )
@@ -174,15 +176,44 @@ def prepare_photon_subtracted(r: float, t: float, d: int) -> MeasurementOutcome:
     return _outcome(FockDims((d, d)), _kraus_sum(kraus))
 
 
+class _BalancedSplitter(_Splitter):
+    """The `_Splitter` at T = 1/2, where the copy-swap fold of `_sector_contraction` holds, with its tables."""
+
+    @cached_property
+    def sector_tables(self) -> tuple:
+        """(gram, plan), read-only: gram[delta, i, p] = (U^dagger U)[(i + delta, p - delta), (i, p)], all of
+        U^dagger U; per output sector kappa = 0 ... d - 1, (lo, shifted(kappa, lo), the column weighting each
+        copy-1 sector delta in lo ... d - 1 by 2, or 1 at delta = kappa / 2: a copy swap), where the view
+        shifted(kappa, lo)[a, delta - lo, i, p] = u[a + kappa, i + p - a, i + delta, p + kappa - delta],
+        a < d - kappa, reads `compact` padded by d - 1 zero levels on both sides of i and p."""
+        d = self.d
+        padded = np.zeros((d, 3 * d - 2, 3 * d - 2))
+        padded[:, d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = self.compact
+        s0, s1, s2 = _read_only(padded).strides
+
+        def shifted(kappa, lo):
+            start = padded[kappa:, d - 1 + lo :, d - 1 + kappa - lo :]
+            shape = (d - kappa, d - lo, d, d)
+            return np.lib.stride_tricks.as_strided(start, shape, (s0, s1 - s2, s1, s2), writeable=False)
+
+        plan = []
+        for kappa in range(d):
+            lo = (kappa + 1) // 2
+            twice = np.where(2 * np.arange(lo, d) == kappa, 1.0, 2.0)[:, None, None]
+            plan.append((lo, shifted(kappa, lo), _read_only(twice)))
+        return _read_only(np.einsum("aip,adip->dip", self.compact, shifted(0, 1 - d))), tuple(plan)
+
+
 @lru_cache(maxsize=2)
-def _balanced_splitter(d: int) -> _Splitter:
-    """The `_Splitter` every step at cutoff d shares. Two are held for commands that alternate two
-    cutoffs, as sweeps at 6 and 8 do; an adaptive step never returns to d once it steps at d + 2."""
-    return _Splitter(d)
+def _balanced_splitter(d: int) -> _BalancedSplitter:
+    """The `_BalancedSplitter` every step at cutoff d shares; an adaptive step never returns to d after
+    d + 2. Two entries serve eta-sweep's sweeps, which alternate cutoffs 6 and 8; lossy runs restart at 6
+    and rebuild (the first 60 seed-1 lossy-adaptive commands: 192 builds, 0.12 of 1.9 s under cProfile)."""
+    return _BalancedSplitter(d)
 
 
 def _party(detector: DetectorModel, d: int):
-    """One party's `_Splitter` (see `_balanced_splitter`) and the diagonal e of its
+    """One party's `_BalancedSplitter` (see `_balanced_splitter`) and the diagonal e of its
     detector's success effect, with entries at or below EFFECT_TOL set to zero."""
     e = success_diagonal(detector, d)
     return _balanced_splitter(d), np.where(e > EFFECT_TOL, e, 0.0)
@@ -229,19 +260,18 @@ def _density_contraction(r: np.ndarray, party_a, party_b):
     return out.reshape(size, size), float(np.real(trace_after))
 
 
-def _sector_contraction(rs: np.ndarray, e_a: np.ndarray, e_b: np.ndarray):
+def _sector_contraction(rs: np.ndarray, party_a, party_b):
     """The kept output of `_density_contraction` for a two-mode state held as
     its sector form rs (see `_sectors`), as the output's sector form, which
     `fock._from_sectors` places in the dense matrix; both copies and both
     splitters conserve photon number, so output sector kappa collects copy-1
     sector delta with copy-2 sector kappa - delta.
 
-    Both parties mix on the cutoff's `_Splitter`; each effect vector weights
-    its compact table once, and per kappa each party's O(d^4) kernel is
+    Both parties mix on party A's `_BalancedSplitter`; each effect vector
+    weights its compact table once, and per kappa each party's O(d^4) kernel is
     v[a, delta, i, p] = e_m u[a, m, i, p] u[a + kappa, m, i + delta, p + kappa - delta].
-    What depends on the cutoff alone is built once per cutoff with the
-    splitter: the loop runs over its `plan` (each kappa's lowest delta, shifted
-    view and weights) and writes each block to slot d - 1 + kappa of the form.
+    The loop runs over the splitter's `plan` (each kappa's lowest delta, shifted
+    view and weights, built once per cutoff) and writes each block to slot d - 1 + kappa.
 
     Two exact identities leave a quarter of the (kappa, delta) terms to compute:
     - the output is Hermitian, so sector -kappa is the conjugate transpose of
@@ -256,12 +286,12 @@ def _sector_contraction(rs: np.ndarray, e_a: np.ndarray, e_b: np.ndarray):
     Also returns the trace after mixing, the sum over delta and (j, q) of
     (rs[delta]^T g[delta] rs[-delta]) * g[delta] with the splitter's `gram`.
     """
-    d = rs.shape[1]
-    splitter = _balanced_splitter(d)
+    d, splitter, e_a, e_b = rs.shape[1], party_a[0], party_a[1], party_b[1]
+    gram, plan = splitter.sector_tables
     weighted_a = splitter.compact * e_a[splitter.measured]
     weighted_b = weighted_a if e_b is e_a else splitter.compact * e_b[splitter.measured]
     out = np.zeros(rs.shape, dtype=np.result_type(rs, weighted_a, weighted_b))
-    for kappa, (lo, shifted, twice) in enumerate(splitter.plan):
+    for kappa, (lo, shifted, twice) in enumerate(plan):
         v = weighted_a[: d - kappa, None] * shifted
         w = v if weighted_b is weighted_a else weighted_b[: d - kappa, None] * shifted
         first = rs[d - 1 + lo :] * twice  # copy 1 in sector delta
@@ -275,7 +305,7 @@ def _sector_contraction(rs: np.ndarray, e_a: np.ndarray, e_b: np.ndarray):
         # out[a + kappa, b + kappa, a, b]; the real kappa = 0 block is its own mirror
         out[d - 1 + kappa, : d - kappa, : d - kappa] = block
         out[d - 1 - kappa, kappa:, kappa:] = block.conj()
-    trace_after = np.sum((rs.transpose(0, 2, 1) @ splitter.gram @ rs[::-1]) * splitter.gram)
+    trace_after = np.sum((rs.transpose(0, 2, 1) @ gram @ rs[::-1]) * gram)
     return out, float(np.real(trace_after))
 
 
@@ -298,7 +328,7 @@ def _step(state, party_a, party_b) -> MeasurementOutcome:
         if rs is None:
             out, trace_after = _density_contraction(state.matrix.reshape(shape + shape), party_a, party_b)
         else:
-            out_rs, trace_after = _sector_contraction(rs, party_a[1], party_b[1])
+            out_rs, trace_after = _sector_contraction(rs, party_a, party_b)
             out = _from_sectors(out_rs)
     else:
         raise TypeError(f"unsupported state type {type(state)!r}")

@@ -344,7 +344,7 @@ def test_cutoff_too_large_to_allocate_is_a_numerical_failure(monkeypatch, capsys
             raise _error
 
         protocol._balanced_splitter.cache_clear()
-        monkeypatch.setattr(protocol, "_Splitter", unaffordable)
+        monkeypatch.setattr(protocol, "_BalancedSplitter", unaffordable)
         try:
             assert main(["run", "--steps", "1", "--truncation", "4"]) == 2
         finally:
@@ -352,6 +352,18 @@ def test_cutoff_too_large_to_allocate_is_a_numerical_failure(monkeypatch, capsys
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"numerical failure: {message}\n"
+
+
+def test_homodyne_filter_of_unbounded_radius_accepts_every_outcome(tmp_path):
+    # the disk |alpha| < inf is the identity effect: a blind detector, not vacuum detection
+    def rows(detector):
+        out = tmp_path / f"{detector}.csv"
+        assert main(["run", "--steps", "3", "--detector", detector, "--out", str(out)]) == 0
+        return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+    unbounded = rows("homodyne:inf")
+    assert unbounded == rows("homodyne:1e200") == rows("onoff:0") == rows("homodyne:40")
+    assert unbounded != rows("vacuum")
 
 
 def test_main_numerical_failure_exits_two(capsys):

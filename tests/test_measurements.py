@@ -302,6 +302,14 @@ def test_success_effect_is_the_diagonal_vector_the_step_reads(detector):
         assert np.array_equal(np.diag(effect).real, e) and not np.any(np.diag(effect).imag)
 
 
+@pytest.mark.parametrize("x", [1.3e154, 1.4e154, 1e308, math.inf])
+def test_filter_of_a_radius_whose_square_overflows_is_the_identity(x):
+    # x^2 overflows above 1.34e154; e^(-y) y^k / k! then reads 0 * inf, which
+    # the step would take for a zero effect, i.e. vacuum detection
+    for d in range(1, 21):
+        assert np.array_equal(success_diagonal(HomodyneFilter(x), d), np.ones(d))
+
+
 def test_filter_conditioning_converges_to_vacuum_conditioning_quadratically():
     # single-detector filtering approaches the vacuum projection as the
     # acceptance disk shrinks; the admixture weight falls like x^2/2

@@ -313,7 +313,7 @@ def test_sector_contraction_matches_dense_contraction(detector, d):
         rs = fock._sectors(r)
         assert rs is not None
         dense, trace_dense = protocol._density_contraction(r, party, party)
-        sector_rs, trace_sector = protocol._sector_contraction(rs, party[1], party[1])
+        sector_rs, trace_sector = protocol._sector_contraction(rs, party, party)
         sector = fock._from_sectors(sector_rs)
         p_dense, p_sector = np.trace(dense).real, np.trace(sector).real
         assert abs(p_sector - p_dense) < 1e-12
@@ -345,7 +345,7 @@ def test_sector_contraction_matches_dense_contraction_on_drawn_sector_states(d, 
     party_a = protocol._party(parties[0], d)  # one party for both, as one_step passes it
     party_b = party_a if parties[1] is parties[0] else protocol._party(parties[1], d)
     dense, trace_dense = protocol._density_contraction(r, party_a, party_b)
-    sector_rs, trace_sector = protocol._sector_contraction(rs, party_a[1], party_b[1])
+    sector_rs, trace_sector = protocol._sector_contraction(rs, party_a, party_b)
     sector = fock._from_sectors(sector_rs)
     p_dense, p_sector = np.trace(dense).real, np.trace(sector).real
     assert abs(p_sector - p_dense) < 1e-12
@@ -374,7 +374,7 @@ def test_sector_contraction_output_is_exactly_hermitian(d):
     for r in (rho, rho.real.copy()):
         rs = fock._sectors(r.reshape(d, d, d, d))
         for parties in ((onoff, onoff), (onoff, homodyne)):
-            out_rs, _ = protocol._sector_contraction(rs, parties[0][1], parties[1][1])
+            out_rs, _ = protocol._sector_contraction(rs, *parties)
             out = fock._from_sectors(out_rs)
             assert out_rs.shape == rs.shape and out.dtype == r.dtype
             assert np.array_equal(out, out.conj().T)
@@ -386,7 +386,7 @@ def test_sector_contraction_serves_two_different_parties():
     r = rho.matrix.reshape(d, d, d, d)
     party_a, party_b = protocol._party(OnOff(0.55), d), protocol._party(HomodyneFilter(1.5), d)
     dense, _ = protocol._density_contraction(r, party_a, party_b)
-    sector_rs, _ = protocol._sector_contraction(fock._sectors(r), party_a[1], party_b[1])
+    sector_rs, _ = protocol._sector_contraction(fock._sectors(r), party_a, party_b)
     sector = fock._from_sectors(sector_rs)
     assert np.max(np.abs(sector - dense)) < 1e-14
 
@@ -626,8 +626,8 @@ def test_real_and_complex_kernel_inputs_agree(d):
     psi = rng.normal(size=(d, d))
     psi /= np.linalg.norm(psi)
 
-    def sector(x, party_a, party_b):  # the sector kernel takes only the effects
-        out, trace_after = protocol._sector_contraction(x, party_a[1], party_b[1])
+    def sector(x, party_a, party_b):  # the sector kernel returns a sector form
+        out, trace_after = protocol._sector_contraction(x, party_a, party_b)
         return fock._from_sectors(out), trace_after
 
     for parties in ((onoff, onoff), (onoff, homodyne)):
@@ -663,7 +663,7 @@ def test_phase_rotated_input_takes_the_complex_path_with_the_same_physics(detect
 
 class _PerStepKernel:
     """The sector kernel as it was once built on every step, from one party's
-    splitter and effect: the oracle for the per-cutoff `protocol._Splitter`."""
+    splitter and effect: the oracle for the per-cutoff `protocol._BalancedSplitter`."""
 
     def __init__(self, party):
         e = party[1]
@@ -716,6 +716,18 @@ def _per_step_sector_contraction(rs, party_a, party_b):
     return out.reshape(d * d, d * d), float(np.real(trace_after))
 
 
+def _shifted_splitter(d, kappa, lo):
+    """u[a + kappa, i + p - a, i + delta, p + kappa - delta] of the balanced splitter at [a, delta - lo, i, p],
+    a < d - kappa and lo <= delta < d, zero where an index leaves the cutoff."""
+    u = reference_beamsplitter(d).real.reshape(d, d, d, d)
+    out = np.zeros((d - kappa, d - lo, d, d))
+    for a, k, i, p in np.ndindex(out.shape):
+        index = (a + kappa, i + p - a, i + lo + k, p + kappa - lo - k)
+        if all(0 <= n < d for n in index):
+            out[a, k, i, p] = u[index]
+    return out
+
+
 def _recorded_splitters():
     """A patch of protocol._balanced_splitter recording every object it returns."""
     seen, cached = [], protocol._balanced_splitter
@@ -755,10 +767,10 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
         support = a + m == i + p
         assert placed[support].tobytes() == expected[support].tobytes()
         assert not np.any(placed[~support]) and not np.any(expected[~support])
-    # built through protocol's own binding of _Splitter, the one a tracer that
-    # rebinds module globals replaces: once per cutoff, and not for reading u
+    # built through protocol's own binding of _BalancedSplitter, the one a tracer
+    # that rebinds module globals replaces: once per cutoff, and not for reading u
     protocol._balanced_splitter.cache_clear()
-    with mock.patch.object(protocol, "_Splitter", wraps=fock._Splitter) as built:
+    with mock.patch.object(protocol, "_BalancedSplitter", wraps=protocol._BalancedSplitter) as built:
         protocol._party(OnOff(0.7), 5)
         protocol._party(IdealVacuum(), 5)[0].u
         assert built.call_count == 1
@@ -777,22 +789,21 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
         tables = dict(vars(seen[0]))
         one_step(rho, HomodyneFilter(1.5))
         protocol._step(rho, protocol._party(OnOff(0.7), 5), protocol._party(HomodyneFilter(1.5), 5))
-    assert len(seen) == 7 and all(s is seen[0] for s in seen)
-    assert set(tables) == {"d", "measured", "compact", "padded", "gram", "plan"}
+    assert len(seen) == 4 and all(s is seen[0] for s in seen)  # one lookup per _party call
+    assert set(tables) == {"d", "measured", "compact", "sector_tables"}
     assert set(vars(seen[0])) == set(tables)
     assert all(vars(seen[0])[name] is table for name, table in tables.items())
-    arrays = [t for t in tables.values() if isinstance(t, np.ndarray)]
-    assert len(arrays) == 4 and not any(t.flags.writeable for t in arrays)
-    assert not seen[0].shifted(1, 1).flags.writeable
+    gram, plan = tables["sector_tables"]
+    arrays = [tables["measured"], tables["compact"], gram]
+    assert not any(t.flags.writeable for t in arrays)
     # the per-kappa plan: built once, read-only, and each kappa's entry is the
     # one the loop used to build per step, its delta running lo ... d - 1
-    plan = tables["plan"]
     assert len(plan) == 5
     assert not any(t.flags.writeable for entry in plan for t in entry[1:])
     for kappa, (lo, shifted, twice) in enumerate(plan):
         assert lo == (kappa + 1) // 2
         assert shifted.shape == (5 - kappa, 5 - lo, 5, 5)
-        assert np.array_equal(shifted, seen[0].shifted(kappa, lo))
+        assert np.array_equal(shifted, _shifted_splitter(5, kappa, lo))
         assert np.array_equal(twice.ravel(), np.where(2 * np.arange(lo, 5) == kappa, 1.0, 2.0))
     # a run of density steps places u at none of the cutoffs it climbs through
     protocol._balanced_splitter.cache_clear()
@@ -819,12 +830,35 @@ def test_steps_at_one_cutoff_share_one_read_only_splitter():
         for r in (rho, rho.real.copy()):
             rs = fock._sectors(r)
             for party_a, party_b in ((onoff, homodyne), (onoff, onoff)):
-                out_rs, trace = protocol._sector_contraction(rs, party_a[1], party_b[1])
+                out_rs, trace = protocol._sector_contraction(rs, party_a, party_b)
                 out = fock._from_sectors(out_rs)
                 oracle, oracle_trace = _per_step_sector_contraction(rs, party_a, party_b)
                 assert out.dtype == oracle.dtype and out.tobytes() == oracle.tobytes()
                 assert trace == oracle_trace
 
+
+
+def test_only_the_balanced_splitter_holds_the_sector_tables():
+    # the copy-swap fold holds at T = 1/2 alone, so no splitter of another T has the tables
+    tilted = fock._Splitter(6, 0.9)
+    assert not any(hasattr(tilted, name) for name in ("padded", "shifted", "gram", "plan", "sector_tables"))
+    protocol._balanced_splitter.cache_clear()
+    splitter = protocol._balanced_splitter(6)
+    assert type(splitter) is protocol._BalancedSplitter and isinstance(splitter, fock._Splitter)
+    assert splitter.compact.tobytes() == fock._Splitter(6, 0.5).compact.tobytes()
+    gram, plan = splitter.sector_tables
+    assert not gram.flags.writeable
+    assert not any(t.flags.writeable for entry in plan for t in entry[1:])
+    with pytest.raises(ValueError):
+        plan[1][1][0, 0, 0, 0] = 1.0
+    # one sector step looks its splitter up once, in _party; the kernel reads it from party A
+    rho = _random_sector_density(6, RNG)
+    spy_sector, _ = _spied_contractions()
+    with mock.patch.object(protocol, "_balanced_splitter", wraps=protocol._balanced_splitter) as lookup, \
+            spy_sector as sector:
+        one_step(rho, OnOff(0.6))
+    assert lookup.call_count == 1 and sector.call_count == 1
+    assert sector.call_args.args[1][0] is splitter
 
 def test_config_rejects_non_integral_sizes():
     # a float cutoff would run truncated while the config reports it as given
